@@ -1,11 +1,12 @@
 # Golden-output comparison, run as a ctest command:
 #
 #   cmake -DBENCH=<binary> -DJOBS=<n> -DGOLDEN=<file> -DOUT=<file>
-#         -P compare.cmake
+#         [-DARGS="<extra flags>"] -P compare.cmake
 #
 # Runs the bench at the canonical golden operating point
-# (--scale=0.01 --seed=3 --format=json --no-progress) with the requested
-# job count and byte-compares the JSON against the committed golden.
+# (--scale=0.01 --seed=3 --format=json --no-progress), plus the optional
+# extra flags, with the requested job count and byte-compares the JSON
+# against the committed golden.
 # Any drift — numeric, ordering, or formatting — fails the test.
 foreach(var BENCH JOBS GOLDEN OUT)
     if(NOT DEFINED ${var})
@@ -13,9 +14,10 @@ foreach(var BENCH JOBS GOLDEN OUT)
     endif()
 endforeach()
 
+separate_arguments(extra_args UNIX_COMMAND "${ARGS}")
 execute_process(
     COMMAND ${BENCH} --scale=0.01 --seed=3 --format=json --no-progress
-            --jobs=${JOBS} --out=${OUT}
+            ${extra_args} --jobs=${JOBS} --out=${OUT}
     RESULT_VARIABLE run_rc)
 if(NOT run_rc EQUAL 0)
     message(FATAL_ERROR "${BENCH} exited with ${run_rc}")

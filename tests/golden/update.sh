@@ -1,6 +1,7 @@
 #!/bin/sh
 # Regenerate the golden-output JSON snapshots at the canonical operating
-# point (--scale=0.01 --seed=3 --format=json --no-progress --jobs=1).
+# point (--scale=0.01 --seed=3 --format=json --no-progress --jobs=1),
+# one per line of drivers.txt.
 #
 # Only run this when an intentional change alters simulation results;
 # never to paper over nondeterminism. After regenerating, re-run
@@ -8,7 +9,7 @@
 # change that motivated them.
 #
 # Usage: tests/golden/update.sh [build-dir]   (default: ./build)
-set -eu
+set -euf
 
 golden_dir=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
 build_dir=${1:-"$golden_dir/../../build"}
@@ -19,15 +20,20 @@ if [ ! -d "$build_dir/bench" ]; then
     exit 2
 fi
 
-for b in fig3_reuse_cdf fig6_eviction_policies tab2_data_protected; do
-    bin="$build_dir/bench/$b"
+while read -r name flags; do
+    case $name in '' | '#'*) continue ;; esac
+    bin="$build_dir/bench/$name"
     if [ ! -x "$bin" ]; then
         echo "error: '$bin' missing; build the bench targets first" >&2
         exit 2
     fi
-    echo "regenerating $b.jsonl"
-    "$bin" --scale=0.01 --seed=3 --format=json --no-progress \
-        --jobs=1 --out="$golden_dir/$b.jsonl"
-done
+    # Same label rule as tests/CMakeLists.txt (see drivers.txt).
+    label=$(printf '%s\n' "$name $flags" |
+        sed -e 's/ *$//' -e 's/[^A-Za-z0-9_][^A-Za-z0-9_]*/_/g')
+    echo "regenerating $label.jsonl"
+    # $flags is split into words on purpose (globbing is off: set -f).
+    "$bin" --scale=0.01 --seed=3 --format=json --no-progress $flags \
+        --jobs=1 --out="$golden_dir/$label.jsonl" < /dev/null
+done < "$golden_dir/drivers.txt"
 
 echo "done; verify with: ctest --test-dir $build_dir -R golden"
