@@ -24,7 +24,6 @@
 #include "core/estimator.hpp"
 #include "core/runner.hpp"
 #include "core/simulator.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace maps::bench {

@@ -10,6 +10,7 @@
 #include <unordered_map>
 
 #include "common.hpp"
+#include "util/stats.hpp"
 
 using namespace maps;
 using namespace maps::bench;

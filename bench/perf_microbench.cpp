@@ -78,31 +78,6 @@ BM_ControllerRead(benchmark::State &state)
 BENCHMARK(BM_ControllerRead);
 
 void
-BM_ControllerBatch(benchmark::State &state)
-{
-    SecureMemoryConfig cfg;
-    cfg.layout.protectedBytes = 256_MiB;
-    FixedLatencyMemory mem(150);
-    SecureMemoryController ctrl(cfg, mem);
-    Rng rng(3);
-    std::vector<MemoryRequest> reqs(static_cast<std::size_t>(
-        state.range(0)));
-    for (auto _ : state) {
-        for (auto &req : reqs) {
-            req.addr =
-                rng.nextBounded(256_MiB / kBlockSize) * kBlockSize;
-            req.kind = rng.nextBool(0.2) ? RequestKind::Writeback
-                                         : RequestKind::Read;
-        }
-        benchmark::DoNotOptimize(
-            ctrl.handleBatch(reqs.data(), reqs.size()));
-    }
-    state.SetItemsProcessed(state.iterations()
-                            * static_cast<std::int64_t>(reqs.size()));
-}
-BENCHMARK(BM_ControllerBatch)->Arg(64)->Arg(1024);
-
-void
 BM_ReuseAnalyzer(benchmark::State &state)
 {
     ReuseDistanceAnalyzer analyzer;

@@ -8,6 +8,8 @@
  *   2. corrupting a stored tree node,
  *   3. consistently rewriting a whole tree path (defeated only by the
  *      on-chip root).
+ *
+ * Exits 1 if any demonstrated check fails.
  */
 #include <cstdio>
 
@@ -35,10 +37,14 @@ digestOf(const CounterStore &counters, Addr data_addr)
     return digest;
 }
 
+int failures = 0;
+
 void
 check(bool ok, const char *what)
 {
     std::printf("  %-58s %s\n", what, ok ? "[OK]" : "[FAILED]");
+    if (!ok)
+        ++failures;
 }
 
 } // namespace
@@ -121,6 +127,10 @@ main()
                 writes, r.blocksToReencrypt);
     check(writes == 128, "7-bit minor counter wraps at the 128th write");
 
+    if (failures) {
+        std::printf("\n%d check(s) FAILED.\n", failures);
+        return 1;
+    }
     std::printf("\nall demonstrations complete.\n");
     return 0;
 }

@@ -111,9 +111,6 @@ class CacheHierarchy
      */
     void attachMetrics(metrics::Registry &registry);
 
-    /** Instructions retired when Phase::Measure began (0 before). */
-    InstCount phaseStartInstructions() const { return phaseStartInst_; }
-
     const HierarchyConfig &config() const { return cfg_; }
     const SetAssociativeCache &l1() const { return *l1_; }
     const SetAssociativeCache &l2() const { return *l2_; }

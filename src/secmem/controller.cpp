@@ -209,19 +209,6 @@ SecureMemoryController::handleRequest(const MemoryRequest &req, Cycles now)
 }
 
 Cycles
-SecureMemoryController::handleBatch(const MemoryRequest *reqs,
-                                    std::size_t n, Cycles now)
-{
-    Cycles read_latency = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const RequestOutcome outcome = handleRequest(reqs[i], now);
-        if (reqs[i].kind == RequestKind::Read)
-            read_latency += outcome.latency;
-    }
-    return read_latency;
-}
-
-Cycles
 SecureMemoryController::traverseTree(Addr counter_block_addr,
                                      InstCount icount, Cycles now,
                                      RequestOutcome &outcome)

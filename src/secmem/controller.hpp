@@ -156,16 +156,6 @@ class SecureMemoryController
     RequestOutcome handleRequest(const MemoryRequest &req, Cycles now = 0);
 
     /**
-     * Service a contiguous batch of LLC-level requests with one call —
-     * semantically identical to handleRequest on each element in order
-     * (all requests in the batch share the issue cycle @p now, as a
-     * caller looping handleRequest with a fixed clock would). Returns
-     * the summed read critical-path latency.
-     */
-    Cycles handleBatch(const MemoryRequest *reqs, std::size_t n,
-                       Cycles now = 0);
-
-    /**
      * Observe every metadata access *before* the cache (the stream the
      * paper characterizes). Tree accesses appear as the cache state
      * makes them occur; with the cache disabled, every counter access

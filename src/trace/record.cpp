@@ -18,18 +18,6 @@ metadataTypeName(MetadataType t)
     return "unknown";
 }
 
-MetadataType
-metadataTypeFromName(const std::string &name)
-{
-    if (name == "counter")
-        return MetadataType::Counter;
-    if (name == "tree")
-        return MetadataType::TreeNode;
-    if (name == "hash")
-        return MetadataType::Hash;
-    return MetadataType::Data;
-}
-
 const char *
 reuseTransitionName(ReuseTransition t)
 {

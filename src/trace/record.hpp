@@ -13,7 +13,6 @@
 #define MAPS_TRACE_RECORD_HPP
 
 #include <cstdint>
-#include <string>
 
 #include "util/types.hpp"
 
@@ -64,9 +63,6 @@ inline constexpr unsigned kNumMetadataTypes = 3;
 
 /** Human-readable metadata type name. */
 const char *metadataTypeName(MetadataType t);
-
-/** Parse a metadata type name; returns Data on failure. */
-MetadataType metadataTypeFromName(const std::string &name);
 
 /**
  * One access to the metadata address space, as seen *before* the metadata

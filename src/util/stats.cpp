@@ -5,40 +5,6 @@
 
 namespace maps {
 
-void
-RunningStats::add(double x)
-{
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-double
-RunningStats::variance() const
-{
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double
-RunningStats::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-void
-RunningStats::clear()
-{
-    n_ = 0;
-    mean_ = m2_ = min_ = max_ = 0.0;
-}
-
 double
 geometricMean(const std::vector<double> &values)
 {
@@ -48,17 +14,6 @@ geometricMean(const std::vector<double> &values)
     for (double v : values)
         acc += std::log(std::max(v, 1e-12));
     return std::exp(acc / static_cast<double>(values.size()));
-}
-
-double
-arithmeticMean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double acc = 0.0;
-    for (double v : values)
-        acc += v;
-    return acc / static_cast<double>(values.size());
 }
 
 } // namespace maps

@@ -1,43 +1,16 @@
 /**
  * @file
- * Streaming statistics and suite-level reducers (geometric mean etc.).
+ * Suite-level reducers.
  */
 #ifndef MAPS_UTIL_STATS_HPP
 #define MAPS_UTIL_STATS_HPP
 
-#include <cstdint>
 #include <vector>
 
 namespace maps {
 
-/** Welford streaming mean/variance accumulator. */
-class RunningStats
-{
-  public:
-    void add(double x);
-
-    std::uint64_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-
-    void clear();
-
-  private:
-    std::uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
 /** Geometric mean of positive values; values <= 0 are clamped to epsilon. */
 double geometricMean(const std::vector<double> &values);
-
-/** Arithmetic mean; 0 for empty input. */
-double arithmeticMean(const std::vector<double> &values);
 
 } // namespace maps
 

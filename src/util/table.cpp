@@ -20,12 +20,6 @@ TextTable::addRow(std::vector<std::string> cells)
 }
 
 void
-TextTable::addRule()
-{
-    rows_.emplace_back(); // empty vector marks a rule
-}
-
-void
 TextTable::print(std::ostream &os) const
 {
     std::vector<std::size_t> widths(header_.size());
@@ -54,12 +48,8 @@ TextTable::print(std::ostream &os) const
     print_rule();
     print_cells(header_);
     print_rule();
-    for (const auto &row : rows_) {
-        if (row.empty())
-            print_rule();
-        else
-            print_cells(row);
-    }
+    for (const auto &row : rows_)
+        print_cells(row);
     print_rule();
 }
 

@@ -23,9 +23,6 @@ class TextTable
 
     void addRow(std::vector<std::string> cells);
 
-    /** Insert a horizontal rule before the next row. */
-    void addRule();
-
     void print(std::ostream &os) const;
 
     std::size_t rows() const { return rows_.size(); }
@@ -41,7 +38,7 @@ class TextTable
 
   private:
     std::vector<std::string> header_;
-    std::vector<std::vector<std::string>> rows_; // empty row == rule
+    std::vector<std::vector<std::string>> rows_;
 };
 
 /** Minimal CSV writer (quotes cells containing separators). */

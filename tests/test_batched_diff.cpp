@@ -15,7 +15,6 @@
 
 #include "check/check.hpp"
 #include "core/simulator.hpp"
-#include "mem/fixed_latency.hpp"
 #include "util/rng.hpp"
 
 namespace maps {
@@ -168,56 +167,6 @@ TEST(BatchedDiff, CheckVerdictsAgree)
     // a stream fingerprint: batching must not change what gets audited.
     EXPECT_EQ(scalar_checks, batched_checks);
     expectSameReport(scalar, batched);
-}
-
-/** Controller handleBatch == a handleRequest loop, same stats. */
-TEST(BatchedDiff, ControllerBatchMatchesLoop)
-{
-    const auto makeController = [](FixedLatencyMemory &mem) {
-        SecureMemoryConfig cfg;
-        cfg.layout.protectedBytes = 16_MiB;
-        cfg.cache.sizeBytes = 8_KiB;
-        return SecureMemoryController(cfg, mem);
-    };
-
-    FixedLatencyMemory mem_a(150);
-    FixedLatencyMemory mem_b(150);
-    SecureMemoryController loop_ctrl = makeController(mem_a);
-    SecureMemoryController batch_ctrl = makeController(mem_b);
-
-    Rng rng(29);
-    std::vector<MemoryRequest> reqs(4096);
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-        reqs[i].addr = rng.nextBounded(16_MiB / kBlockSize) * kBlockSize;
-        reqs[i].kind = rng.nextBool(0.3) ? RequestKind::Writeback
-                                         : RequestKind::Read;
-        reqs[i].icount = i;
-    }
-
-    Cycles loop_read_latency = 0;
-    for (const auto &req : reqs) {
-        const RequestOutcome out = loop_ctrl.handleRequest(req);
-        if (req.kind == RequestKind::Read)
-            loop_read_latency += out.latency;
-    }
-    // Ragged chunking: 4096 = 5 * 771 + 241.
-    Cycles batch_read_latency = 0;
-    for (std::size_t i = 0; i < reqs.size();) {
-        const std::size_t n = std::min<std::size_t>(771, reqs.size() - i);
-        batch_read_latency += batch_ctrl.handleBatch(reqs.data() + i, n);
-        i += n;
-    }
-
-    EXPECT_EQ(loop_read_latency, batch_read_latency);
-    const ControllerStats &a = loop_ctrl.stats();
-    const ControllerStats &b = batch_ctrl.stats();
-    EXPECT_EQ(a.readRequests, b.readRequests);
-    EXPECT_EQ(a.writeRequests, b.writeRequests);
-    EXPECT_EQ(a.memReads, b.memReads);
-    EXPECT_EQ(a.memWrites, b.memWrites);
-    EXPECT_EQ(a.treeLevelsFetched, b.treeLevelsFetched);
-    EXPECT_EQ(a.totalReadLatency, b.totalReadLatency);
-    EXPECT_EQ(a.totalVerifyLatency, b.totalVerifyLatency);
 }
 
 /** Generator nextBatch == n successive next() calls, ragged tail. */

@@ -1,24 +1,13 @@
 /**
  * @file
- * Tests for the trace module: record vocabulary, binary IO, statistics.
+ * Tests for the trace module's record vocabulary.
  */
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <string>
-
 #include "trace/record.hpp"
-#include "trace/trace_io.hpp"
-#include "trace/trace_stats.hpp"
 
 namespace maps {
 namespace {
-
-std::string
-tempPath(const std::string &name)
-{
-    return std::string(::testing::TempDir()) + "/" + name;
-}
 
 TEST(Record, MetadataTypeNames)
 {
@@ -26,15 +15,6 @@ TEST(Record, MetadataTypeNames)
     EXPECT_STREQ(metadataTypeName(MetadataType::TreeNode), "tree");
     EXPECT_STREQ(metadataTypeName(MetadataType::Hash), "hash");
     EXPECT_STREQ(metadataTypeName(MetadataType::Data), "data");
-}
-
-TEST(Record, MetadataTypeRoundTrip)
-{
-    for (auto t : {MetadataType::Counter, MetadataType::TreeNode,
-                   MetadataType::Hash}) {
-        EXPECT_EQ(metadataTypeFromName(metadataTypeName(t)), t);
-    }
-    EXPECT_EQ(metadataTypeFromName("bogus"), MetadataType::Data);
 }
 
 TEST(Record, TransitionClassification)
@@ -55,172 +35,6 @@ TEST(Record, TransitionNames)
                  "RAR");
     EXPECT_STREQ(reuseTransitionName(ReuseTransition::WriteAfterWrite),
                  "WAW");
-}
-
-TEST(TraceIo, MemRefRoundTrip)
-{
-    std::vector<MemRef> refs;
-    for (std::uint64_t i = 0; i < 1000; ++i) {
-        MemRef ref;
-        ref.addr = i * 64 + (i % 3);
-        ref.type = i % 4 == 0 ? AccessType::Write : AccessType::Read;
-        ref.instGap = static_cast<std::uint32_t>(i % 17 + 1);
-        refs.push_back(ref);
-    }
-    const std::string path = tempPath("refs.maps");
-    ASSERT_TRUE(saveTrace(path, refs));
-    std::vector<MemRef> loaded;
-    ASSERT_TRUE(loadTrace(path, loaded));
-    ASSERT_EQ(loaded.size(), refs.size());
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-        EXPECT_EQ(loaded[i].addr, refs[i].addr);
-        EXPECT_EQ(loaded[i].type, refs[i].type);
-        EXPECT_EQ(loaded[i].instGap, refs[i].instGap);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, MemoryRequestRoundTrip)
-{
-    std::vector<MemoryRequest> reqs;
-    for (std::uint64_t i = 0; i < 500; ++i) {
-        MemoryRequest req;
-        req.addr = i << 6;
-        req.kind = i % 5 == 0 ? RequestKind::Writeback : RequestKind::Read;
-        req.icount = i * 1000;
-        reqs.push_back(req);
-    }
-    const std::string path = tempPath("reqs.maps");
-    ASSERT_TRUE(saveTrace(path, reqs));
-    std::vector<MemoryRequest> loaded;
-    ASSERT_TRUE(loadTrace(path, loaded));
-    ASSERT_EQ(loaded.size(), reqs.size());
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-        EXPECT_EQ(loaded[i].addr, reqs[i].addr);
-        EXPECT_EQ(loaded[i].kind, reqs[i].kind);
-        EXPECT_EQ(loaded[i].icount, reqs[i].icount);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, MetadataAccessRoundTrip)
-{
-    std::vector<MetadataAccess> accs;
-    for (std::uint64_t i = 0; i < 500; ++i) {
-        MetadataAccess acc;
-        acc.addr = (i << 6) | (1ull << 60);
-        acc.type = static_cast<MetadataType>(i % 3);
-        acc.access = i % 2 ? AccessType::Write : AccessType::Read;
-        acc.level = static_cast<std::uint8_t>(i % 7);
-        acc.icount = i * 31;
-        accs.push_back(acc);
-    }
-    const std::string path = tempPath("md.maps");
-    ASSERT_TRUE(saveTrace(path, accs));
-    std::vector<MetadataAccess> loaded;
-    ASSERT_TRUE(loadTrace(path, loaded));
-    ASSERT_EQ(loaded.size(), accs.size());
-    for (std::size_t i = 0; i < accs.size(); ++i) {
-        EXPECT_EQ(loaded[i].addr, accs[i].addr);
-        EXPECT_EQ(loaded[i].type, accs[i].type);
-        EXPECT_EQ(loaded[i].access, accs[i].access);
-        EXPECT_EQ(loaded[i].level, accs[i].level);
-        EXPECT_EQ(loaded[i].icount, accs[i].icount);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, KindMismatchRejected)
-{
-    const std::string path = tempPath("kind.maps");
-    std::vector<MemRef> refs(3);
-    ASSERT_TRUE(saveTrace(path, refs));
-    std::vector<MemoryRequest> reqs;
-    EXPECT_FALSE(loadTrace(path, reqs));
-    EXPECT_EQ(traceFileKind(path),
-              static_cast<std::uint16_t>(TraceKind::MemRefs));
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, MissingFileFails)
-{
-    std::vector<MemRef> refs;
-    EXPECT_FALSE(loadTrace(tempPath("does-not-exist.maps"), refs));
-    EXPECT_EQ(traceFileKind(tempPath("does-not-exist.maps")), 0u);
-}
-
-TEST(TraceIo, CorruptMagicRejected)
-{
-    const std::string path = tempPath("corrupt.maps");
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("NOTMAPS!", f);
-    std::fclose(f);
-    std::vector<MemRef> refs;
-    EXPECT_FALSE(loadTrace(path, refs));
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, EmptyTraceRoundTrip)
-{
-    const std::string path = tempPath("empty.maps");
-    ASSERT_TRUE(saveTrace(path, std::vector<MemRef>{}));
-    std::vector<MemRef> loaded{MemRef{}};
-    ASSERT_TRUE(loadTrace(path, loaded));
-    EXPECT_TRUE(loaded.empty());
-    std::remove(path.c_str());
-}
-
-TEST(TraceStats, MemRefAggregates)
-{
-    std::vector<MemRef> refs;
-    for (int i = 0; i < 10; ++i) {
-        MemRef ref;
-        ref.addr = static_cast<Addr>(i % 4) * 64;
-        ref.type = i < 3 ? AccessType::Write : AccessType::Read;
-        ref.instGap = 2;
-        refs.push_back(ref);
-    }
-    const auto stats = computeStats(refs);
-    EXPECT_EQ(stats.refs, 10u);
-    EXPECT_EQ(stats.writes, 3u);
-    EXPECT_EQ(stats.instructions, 20u);
-    EXPECT_EQ(stats.uniqueBlocks, 4u);
-    EXPECT_EQ(stats.uniquePages, 1u);
-    EXPECT_DOUBLE_EQ(stats.writeFraction(), 0.3);
-    EXPECT_EQ(stats.footprintBytes(), 4 * kBlockSize);
-}
-
-TEST(TraceStats, MetadataAggregates)
-{
-    std::vector<MetadataAccess> accs;
-    for (int i = 0; i < 12; ++i) {
-        MetadataAccess acc;
-        acc.type = static_cast<MetadataType>(i % 3);
-        acc.addr = static_cast<Addr>(i % 6) * 64;
-        acc.access = i % 4 == 0 ? AccessType::Write : AccessType::Read;
-        accs.push_back(acc);
-    }
-    const auto stats = computeStats(accs);
-    EXPECT_EQ(stats.accesses, 12u);
-    EXPECT_EQ(stats.byType[0], 4u);
-    EXPECT_EQ(stats.byType[1], 4u);
-    EXPECT_EQ(stats.byType[2], 4u);
-    EXPECT_EQ(stats.totalWrites(), 3u);
-}
-
-TEST(TraceStats, RequestCollector)
-{
-    RequestStatsCollector collector;
-    for (int i = 0; i < 8; ++i) {
-        MemoryRequest req;
-        req.addr = static_cast<Addr>(i % 3) * 64;
-        req.kind = i % 2 ? RequestKind::Writeback : RequestKind::Read;
-        collector.observe(req);
-    }
-    EXPECT_EQ(collector.reads(), 4u);
-    EXPECT_EQ(collector.writebacks(), 4u);
-    EXPECT_EQ(collector.uniqueBlocks(), 3u);
 }
 
 } // namespace

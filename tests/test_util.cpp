@@ -5,13 +5,11 @@
  */
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
 #include <sstream>
 
 #include "util/arena.hpp"
 #include "util/bitops.hpp"
-#include "util/cdf.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -237,49 +235,11 @@ TEST(ExactHistogram, Mean)
     EXPECT_DOUBLE_EQ(empty.mean(), 0.0);
 }
 
-TEST(CdfCurve, FromHistogramEndsAtOne)
-{
-    ExactHistogram hist;
-    for (std::uint64_t v = 1; v <= 1000; ++v)
-        hist.add(v);
-    const auto curve = CdfCurve::fromHistogram("t", hist, 1000);
-    ASSERT_FALSE(curve.empty());
-    EXPECT_NEAR(curve.points().back().y, 1.0, 1e-9);
-    EXPECT_NEAR(curve.evaluate(500), 0.5, 0.05);
-}
-
-TEST(CdfCurve, EvaluateClamps)
-{
-    CdfCurve curve("c");
-    curve.addPoint(10, 0.25);
-    curve.addPoint(100, 0.75);
-    EXPECT_DOUBLE_EQ(curve.evaluate(1), 0.25);
-    EXPECT_DOUBLE_EQ(curve.evaluate(1000), 0.75);
-    EXPECT_NEAR(curve.evaluate(55), 0.5, 1e-9);
-}
-
-TEST(RunningStats, MeanVarianceMinMax)
-{
-    RunningStats s;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(v);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-9);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
 TEST(Stats, GeometricMean)
 {
     EXPECT_NEAR(geometricMean({1.0, 4.0}), 2.0, 1e-9);
     EXPECT_NEAR(geometricMean({2.0, 2.0, 2.0}), 2.0, 1e-9);
     EXPECT_DOUBLE_EQ(geometricMean({}), 0.0);
-}
-
-TEST(Stats, ArithmeticMean)
-{
-    EXPECT_DOUBLE_EQ(arithmeticMean({1.0, 2.0, 3.0}), 2.0);
-    EXPECT_DOUBLE_EQ(arithmeticMean({}), 0.0);
 }
 
 TEST(TextTable, FormatHelpers)
