@@ -24,13 +24,16 @@
  * `--distributed` runs the multi-node variant instead: three worker
  * daemons on loopback TCP (port 0, discovered via their published
  * tcp.port files), one coordinator sharding the fig3 sweep across
- * them — then SIGKILL one worker mid-job, SIGSTOP another until the
- * coordinator steals its cell, drop a dispatch connection via
- * `drop:conn@n=` chaos, and finally SIGKILL the coordinator itself
- * mid-merge and restart it on the same state dir. The merged result
- * must still be byte-identical to the undisturbed single-host run,
- * and the job's events/counters must record the steal, the retries
- * and the restart honestly.
+ * them — then SIGKILL one worker mid-job, stall another
+ * (`hang:worker@n=1` SIGSTOPs its first cell child) until the
+ * coordinator steals its cell, have the coordinator SIGKILL itself
+ * right after journaling that steal (`kill:coordinator@n=1`), and
+ * restart it on the same state dir with a dispatch connection dropped
+ * via `drop:conn@n=1`. Every disturbance is keyed to an event, not to
+ * a sleep, so the job is mid-flight at each one however loaded the
+ * host is. The merged result must still be byte-identical to the
+ * undisturbed single-host run, and the job's events/counters must
+ * record the steal, the retries and the restart honestly.
  *
  * `--multitenant` runs the fair-share variant instead: a daemon with a
  * --tenants config (a well-behaved "good" tenant and a quota-bounded,
@@ -240,11 +243,15 @@ runDistributed(const std::string &mapsd, const std::string &driversDir,
         w.stateDir = workDir + "/" + tag;
         w.socket = workDir + "/" + tag + ".sock";
         w.log = workDir + "/" + tag + ".log";
-        w.pid = spawnMapsd({mapsd, "--socket=" + w.socket,
-                            "--state-dir=" + w.stateDir,
-                            "--drivers-dir=" + driversDir, "--workers=1",
-                            "--listen-tcp=127.0.0.1:0"},
-                           w.log);
+        std::vector<std::string> args = {
+            mapsd, "--socket=" + w.socket, "--state-dir=" + w.stateDir,
+            "--drivers-dir=" + driversDir, "--workers=1",
+            "--listen-tcp=127.0.0.1:0"};
+        // Worker 1 stalls: its first cell child is SIGSTOPped, so the
+        // lease it holds can only end in a steal.
+        if (i == 1)
+            args.push_back("--chaos=hang:worker@n=1");
+        w.pid = spawnMapsd(std::move(args), w.log);
     }
     const auto killAllWorkers = [&workers] {
         for (const Worker &w : workers) {
@@ -285,7 +292,9 @@ runDistributed(const std::string &mapsd, const std::string &driversDir,
     }
 
     // 3. Coordinator A shards across all three workers; its chaos spec
-    // drops the third dispatch connection mid-flight (the partition).
+    // makes it SIGKILL itself right after journaling its first steal.
+    // Coordinator B, restarted on the same state dir, drops its first
+    // dispatch connection mid-flight (the partition).
     const std::string coordSock = workDir + "/coordinator.sock";
     const std::string coordState = workDir + "/coordinator-state";
     const std::string coordLog = workDir + "/coordinator.log";
@@ -306,7 +315,8 @@ runDistributed(const std::string &mapsd, const std::string &driversDir,
             args.push_back("--chaos=" + chaos);
         return args;
     };
-    const pid_t coordA = spawnMapsd(coordArgs("drop:conn@n=3"), coordLog);
+    const pid_t coordA =
+        spawnMapsd(coordArgs("kill:coordinator@n=1"), coordLog);
     Client client(coordSock);
     if (!waitForPing(client, 15000)) {
         std::fprintf(stderr, "chaos_service: coordinator never pinged\n");
@@ -333,47 +343,45 @@ runDistributed(const std::string &mapsd, const std::string &driversDir,
         final = client.submitAndWait(spec, policy, clientErr, stderr);
     });
 
-    // 4. Chaos sequence. First wait for the job to reach the journal
-    // (the coordinator journals before its first remote round), then
-    // kill worker 0 outright and stop worker 1 so its lease goes stale.
+    // 4. Chaos sequence. Once the job reaches the journal (the
+    // coordinator journals it before its first remote round) kill
+    // worker 0 outright. The job cannot finish yet: worker 1's cell is
+    // stalled until stolen, and the steal takes the coordinator down.
     for (int waited = 0; waited < 60000; waited += 100) {
         if (!journalText(coordState, jobId).empty())
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(700));
     ::kill(-workers[0].pid, SIGKILL);
     int status = 0;
     ::waitpid(workers[0].pid, &status, 0);
     std::printf("info    worker 0 SIGKILLed mid-job\n");
-    ::kill(-workers[1].pid, SIGSTOP);
-    std::printf("info    worker 1 SIGSTOPped (lease must go stale)\n");
 
-    // 5. The steal is the proof the lease/steal machinery works: wait
-    // for its journaled event, then SIGKILL the coordinator itself
-    // mid-merge and bring a fresh one up on the same state dir.
-    bool stealSeen = false;
-    for (int waited = 0; waited < 180000; waited += 100) {
-        const std::string text = journalText(coordState, jobId);
-        if (text.find("stole cell") != std::string::npos) {
-            stealSeen = true;
-            break;
-        }
-        std::string jstate;
-        journaledCounters(coordState, jobId, jstate);
-        if (jstate == "done" || jstate == "failed")
-            break; // Finished without a steal: the expect will say so.
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    // 5. The steal is the proof the lease/steal machinery works, and
+    // coordinator A dies the moment it is journaled. Bring a fresh
+    // coordinator up on the same state dir.
+    bool selfKilled = false;
+    bool reaped = false;
+    for (int waited = 0; waited < 180000 && !reaped; waited += 100) {
+        reaped = ::waitpid(coordA, &status, WNOHANG) == coordA;
+        if (reaped)
+            selfKilled = WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
+        else
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
-    expect(stealSeen, "journal recorded a steal from the stalled worker "
-                      "before the coordinator SIGKILL");
+    expect(selfKilled, "coordinator SIGKILLed itself after its first "
+                       "steal");
+    expect(journalText(coordState, jobId).find("stole cell") !=
+               std::string::npos,
+           "journal recorded a steal from the stalled worker before the "
+           "coordinator SIGKILL");
+    // Take down the rest of its process group (or, had the steal never
+    // come, the coordinator itself).
     ::kill(-coordA, SIGKILL);
-    ::waitpid(coordA, &status, 0);
+    if (!reaped)
+        ::waitpid(coordA, &status, 0);
     std::printf("info    coordinator SIGKILLed mid-job\n");
-    ::kill(-workers[1].pid, SIGCONT);
-    std::printf("info    worker 1 resumed (its stale copy may now race "
-                "the stolen one)\n");
-    const pid_t coordB = spawnMapsd(coordArgs(""), coordLog);
+    const pid_t coordB = spawnMapsd(coordArgs("drop:conn@n=1"), coordLog);
 
     // 6. The client rides out the restart on its own; the merged result
     // must be byte-identical to the undisturbed single-host run.

@@ -1,6 +1,7 @@
 #include "core/dirlock.hpp"
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -10,6 +11,8 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/file.h>
+#include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
 
@@ -18,6 +21,13 @@ namespace maps::runner {
 namespace {
 
 constexpr const char *kMagic = "maps-lock-v1 pid ";
+
+/**
+ * How long acquire() keeps contending. A holder records its pid right
+ * after winning flock(), so waiting for that only spans a descheduled
+ * holder on a loaded host.
+ */
+constexpr auto kContendFor = std::chrono::seconds(10);
 
 /** Parse the owner pid out of a lock file; 0 when unreadable. */
 pid_t
@@ -50,48 +60,14 @@ pidAlive(pid_t pid)
     return ::kill(pid, 0) == 0 || errno == EPERM;
 }
 
-/**
- * Remove a stale lock, serialized through a guard file.
- *
- * Unlinking a stale lock directly is racy: two contenders that both
- * read the same dead owner pid would unlink twice, and the second
- * unlink can remove the *fresh* lock the first contender just created
- * (the dead-pid-reuse race). So only the O_EXCL winner of
- * "<lock>.takeover" may unlink, and it re-reads the lock under the
- * guard first: if the owner changed since @p staleOwner was observed,
- * somebody else already completed a takeover and the file must
- * survive.
- */
-void
-takeoverStaleLock(const std::string &path, pid_t staleOwner)
+/** True when @p fd still names the file at @p path (not an unlinked or
+ *  replaced inode). */
+bool
+samePath(int fd, const std::string &path)
 {
-    const std::string guard = path + ".takeover";
-    const int gfd = ::open(guard.c_str(),
-                           O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC,
-                           0644);
-    if (gfd < 0) {
-        if (errno != EEXIST)
-            return;
-        // Another contender is mid-takeover. Its critical section is
-        // microseconds long, so give it a moment — unless it died and
-        // left the guard itself stale.
-        const pid_t g = lockOwner(guard);
-        if (g == 0 || !pidAlive(g))
-            ::unlink(guard.c_str());
-        else
-            ::usleep(2000);
-        return;
-    }
-    char buf[64];
-    const int n = std::snprintf(buf, sizeof(buf), "%s%ld\n", kMagic,
-                                static_cast<long>(::getpid()));
-    if (n > 0)
-        (void)!::write(gfd, buf, static_cast<std::size_t>(n));
-    ::close(gfd);
-    const pid_t now = lockOwner(path);
-    if (now == staleOwner && (now == 0 || !pidAlive(now)))
-        ::unlink(path.c_str());
-    ::unlink(guard.c_str());
+    struct stat fst{}, pst{};
+    return ::fstat(fd, &fst) == 0 && ::stat(path.c_str(), &pst) == 0 &&
+           fst.st_dev == pst.st_dev && fst.st_ino == pst.st_ino;
 }
 
 } // namespace
@@ -102,8 +78,10 @@ DirLock::operator=(DirLock &&other) noexcept
     if (this != &other) {
         release();
         path_ = std::move(other.path_);
+        fd_ = other.fd_;
         held_ = other.held_;
         adopted_ = other.adopted_;
+        other.fd_ = -1;
         other.held_ = false;
         other.adopted_ = false;
         other.path_.clear();
@@ -122,71 +100,99 @@ DirLock::acquire(const std::string &dir, const std::string &name)
         return "cannot create lock directory '" + dir +
                "': " + ec.message();
     const auto path = (std::filesystem::path(dir) / name).string();
+    const auto lockedBy = [&](pid_t owner) {
+        return "directory '" + dir + "' is locked by running process " +
+               std::to_string(owner) + " (" + path +
+               "); refusing to interleave — stop the other run or "
+               "remove the lock file if it is wrong";
+    };
 
-    // Bounded retries: each loop either succeeds, fails on a live
-    // owner, or makes progress on one stale/unreadable lock file.
-    for (int attempt = 0; attempt < 64; ++attempt) {
-        const int fd = ::open(path.c_str(),
-                              O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC,
-                              0644);
-        if (fd >= 0) {
-            char buf[64];
-            const int n = std::snprintf(buf, sizeof(buf), "%s%ld\n",
-                                        kMagic,
-                                        static_cast<long>(::getpid()));
-            const bool ok = n > 0 && ::write(fd, buf, static_cast<
-                                             std::size_t>(n)) == n;
-            ::close(fd);
-            if (!ok) {
-                ::unlink(path.c_str());
-                return "cannot write lock file '" + path + "'";
-            }
-            // Re-verify: a contender that observed the previous stale
-            // lock before our create may still unlink this path out
-            // from under us (it saw an empty just-opened file, owner
-            // 0 == "torn"). If the file no longer names us, we lost —
-            // leave whatever is there alone and contend again.
-            if (lockOwner(path) != ::getpid()) {
-                ::usleep(1000);
-                continue;
-            }
-            path_ = path;
-            held_ = true;
-            adopted_ = false;
-            return "";
-        }
-        if (errno != EEXIST)
+    // Mutual exclusion is the kernel's flock(), which dies with its
+    // holder, so a crashed owner can never leave the directory locked
+    // and no two contenders can both win. The pid written into the
+    // file serves adoption and error messages.
+    const auto deadline = std::chrono::steady_clock::now() +
+                          kContendFor;
+    for (;;) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return "cannot acquire lock '" + path +
+                   "': too much contention";
+        const int fd =
+            ::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+        if (fd < 0)
             return "cannot create lock file '" + path +
                    "': " + std::strerror(errno);
-
-        const pid_t owner = lockOwner(path);
-        if (owner == ::getpid() || (owner > 0 && owner == ::getppid())) {
-            // Our own (or our parent's) lock: adopt it. The owner keeps
-            // responsibility for unlinking it.
-            path_ = path;
-            held_ = true;
-            adopted_ = true;
-            return "";
+        if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+            const int err = errno;
+            ::close(fd);
+            if (err != EWOULDBLOCK)
+                return "cannot lock '" + path +
+                       "': " + std::strerror(err);
+            const pid_t owner = lockOwner(path);
+            if (owner == ::getpid() ||
+                (owner > 0 && owner == ::getppid())) {
+                // Our own (or our parent's) lock: adopt it. The owner
+                // keeps responsibility for unlinking it.
+                path_ = path;
+                held_ = true;
+                adopted_ = true;
+                return "";
+            }
+            if (owner > 0 && pidAlive(owner))
+                return lockedBy(owner);
+            // The holder has not recorded its pid yet (the file is
+            // empty or still names the previous, dead owner).
+            ::usleep(1000);
+            continue;
         }
-        if (owner > 0 && pidAlive(owner)) {
-            return "directory '" + dir + "' is locked by running "
-                   "process " + std::to_string(owner) +
-                   " (" + path + "); refusing to interleave — stop the "
-                   "other run or remove the lock file if it is wrong";
+        // A releasing owner unlinks the file before dropping the lock,
+        // so the inode we locked may be gone from the path: contend
+        // again on whatever is there now.
+        if (!samePath(fd, path)) {
+            ::close(fd);
+            continue;
         }
-        // Stale (dead owner) or unreadable/torn lock: take it over,
-        // guard-serialized so concurrent takeovers cannot unlink each
-        // other's fresh locks.
-        takeoverStaleLock(path, owner);
+        // Nobody holds the kernel lock. A file naming some other live
+        // process is still respected: that process may be using the
+        // directory without holding the lock right now.
+        const pid_t recorded = lockOwner(path);
+        if (recorded > 0 && recorded != ::getpid() &&
+            pidAlive(recorded)) {
+            ::close(fd);
+            return lockedBy(recorded);
+        }
+        char buf[64];
+        const int n = std::snprintf(buf, sizeof(buf), "%s%ld\n", kMagic,
+                                    static_cast<long>(::getpid()));
+        const bool ok = n > 0 && ::ftruncate(fd, 0) == 0 &&
+                        ::pwrite(fd, buf, static_cast<std::size_t>(n),
+                                 0) == n;
+        if (!ok) {
+            ::unlink(path.c_str());
+            ::close(fd);
+            return "cannot write lock file '" + path + "'";
+        }
+        // Earlier versions serialized stale takeovers through this
+        // guard file; one a dead contender left behind is just litter.
+        ::unlink((path + ".takeover").c_str());
+        path_ = path;
+        fd_ = fd;
+        held_ = true;
+        adopted_ = false;
+        return "";
     }
-    return "cannot acquire lock '" + path + "': too much contention";
 }
 
 void
 DirLock::release()
 {
-    if (held_ && !adopted_)
+    if (held_ && !adopted_) {
+        // Unlink while still holding the lock, then drop it: a
+        // contender that already opened this inode sees it vanish.
         ::unlink(path_.c_str());
+        ::close(fd_);
+    }
+    fd_ = -1;
     held_ = false;
     adopted_ = false;
     path_.clear();

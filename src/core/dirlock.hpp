@@ -5,10 +5,12 @@
  * publishes into the same --resume checkpoint directory, and by mapsd to
  * claim its state directory.
  *
- * The lock is a file (".maps-lock" by default) created with O_EXCL and
- * holding "maps-lock-v1 pid <pid>\n". Acquisition fails fast with a
- * descriptive error when a *live* foreign process owns the lock; a lock
- * whose owner pid no longer exists is stale and is taken over. The
+ * The lock is a file (".maps-lock" by default) holding
+ * "maps-lock-v1 pid <pid>\n" that its owner keeps flock()ed. The kernel
+ * lock gives mutual exclusion and is dropped when the owner dies, so a
+ * file left by a dead owner is simply taken over. Acquisition fails fast
+ * with a descriptive error when a *live* foreign process owns the lock
+ * (holds the flock, or is named by an unlocked file). The
  * daemon's out-of-process cell children are let through on purpose: a
  * lock owned by the calling process or by its direct parent is adopted
  * (held but not released by the adopter), so fork/exec'ed driver
@@ -46,7 +48,8 @@ class DirLock
     std::string acquire(const std::string &dir,
                         const std::string &name = ".maps-lock");
 
-    /** Unlink the lock file if this instance owns it. Idempotent. */
+    /** Unlink the lock file and drop the lock if this instance owns
+     *  it. Idempotent. */
     void release();
 
     bool held() const { return held_; }
@@ -56,6 +59,7 @@ class DirLock
 
   private:
     std::string path_;
+    int fd_ = -1; ///< Holds the flock while owned (not when adopted).
     bool held_ = false;
     bool adopted_ = false;
 };

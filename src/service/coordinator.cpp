@@ -6,6 +6,7 @@
 #include <random>
 #include <set>
 
+#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -191,6 +192,13 @@ WorkerPool::injectConnDrops(const std::vector<std::uint64_t> &ordinals)
     std::lock_guard<std::mutex> lk(mu_);
     connDrops_.insert(connDrops_.end(), ordinals.begin(),
                       ordinals.end());
+}
+
+void
+WorkerPool::injectKillAfterSteal(std::uint64_t nth)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    killAfterSteal_ = nth;
 }
 
 bool
@@ -480,6 +488,18 @@ WorkerPool::slotLoop(std::shared_ptr<Round> round, std::size_t workerIdx)
             (*round->event)("stole cell " + cellId + " (tenant " +
                             round->tenant + ") from worker " +
                             workers_[victimIdx].addr + " for " + addr);
+        if (stolen) {
+            bool die = false;
+            {
+                std::lock_guard<std::mutex> lk(mu_);
+                die = ++steals_ == killAfterSteal_;
+            }
+            // Chaos: crash once the steal is on record but before its
+            // copy is dispatched, so the job is mid-flight by
+            // construction.
+            if (die)
+                ::kill(::getpid(), SIGKILL);
+        }
 
         const RpcResult rpc =
             [&]() -> RpcResult {

@@ -169,6 +169,11 @@ class WorkerPool
      *  per registered ordinal. */
     void injectConnDrops(const std::vector<std::uint64_t> &ordinals);
 
+    /** Chaos: SIGKILL this process right after the Nth steal (1-based,
+     *  counted across rounds) has been reported through the round's
+     *  event callback — a coordinator crash at a known point mid-job. */
+    void injectKillAfterSteal(std::uint64_t nth);
+
   private:
     enum class WorkerState : std::uint8_t
     {
@@ -219,6 +224,8 @@ class WorkerPool
     std::vector<Worker> workers_;
     std::vector<std::uint64_t> connDrops_; ///< Unfired chaos ordinals.
     std::uint64_t sends_ = 0;              ///< run_cells send ordinal.
+    std::uint64_t killAfterSteal_ = 0;     ///< Chaos steal ordinal; 0 = off.
+    std::uint64_t steals_ = 0;             ///< Steal ordinal.
     bool stopping_ = false;
     bool started_ = false;
     std::thread prober_;

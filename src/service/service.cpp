@@ -93,10 +93,13 @@ parseChaosSpec(const std::string &spec, std::vector<ChaosEvent> &out)
         } else if (item.rfind("drop:conn@", 0) == 0) {
             ev.kind = ChaosEvent::Kind::DropConn;
             rest = item.substr(10);
+        } else if (item.rfind("kill:coordinator@", 0) == 0) {
+            ev.kind = ChaosEvent::Kind::KillCoordinator;
+            rest = item.substr(17);
         } else {
             return "bad chaos event '" + item +
-                   "' (want kill:worker@n=N, hang:worker@n=N or "
-                   "drop:conn@n=N)";
+                   "' (want kill:worker@n=N, hang:worker@n=N, "
+                   "drop:conn@n=N or kill:coordinator@n=N)";
         }
         if (rest.rfind("n=", 0) != 0)
             return "bad chaos trigger in '" + item + "' (want n=N)";
@@ -555,13 +558,39 @@ namespace {
 
 struct ChaosHook
 {
-    Service *service;
     std::vector<ChaosEvent> *events;
     std::mutex *mu;
     std::uint64_t *spawns;
-    std::shared_ptr<Job> job;
-    std::vector<std::string> *jobEvents;
+    std::vector<std::string> *jobEvents; ///< nullptr: log to stderr.
 };
+
+/** runChild() after-spawn callback firing the cell-spawn chaos events
+ *  (@p arg is a ChaosHook). */
+void
+chaosAfterSpawn(pid_t pid, void *arg)
+{
+    auto *h = static_cast<ChaosHook *>(arg);
+    const std::lock_guard<std::mutex> lock(*h->mu);
+    const std::uint64_t n = ++*h->spawns;
+    for (auto &ev : *h->events) {
+        // drop:conn and kill:coordinator fire in the coordinator's
+        // dispatch path, not at cell spawns.
+        const bool spawnKeyed = ev.kind == ChaosEvent::Kind::KillWorker ||
+                                ev.kind == ChaosEvent::Kind::HangWorker;
+        if (ev.fired || ev.nth != n || !spawnKeyed)
+            continue;
+        ev.fired = true;
+        const bool kill = ev.kind == ChaosEvent::Kind::KillWorker;
+        ::kill(pid, kill ? SIGKILL : SIGSTOP);
+        const std::string note = std::string("chaos: ") +
+                                 (kill ? "SIGKILL" : "SIGSTOP") +
+                                 " cell spawn #" + std::to_string(n);
+        if (h->jobEvents != nullptr)
+            h->jobEvents->push_back(note);
+        else
+            std::fprintf(stderr, "mapsd: %s\n", note.c_str());
+    }
+}
 
 std::string
 readCapped(const std::string &path, std::size_t cap = 65536)
@@ -653,31 +682,9 @@ Service::runCell(const CellTask &task)
     // budget plus slack, so a SIGSTOPped or wedged child still dies.
     spec.deadlineMs = timeout > 0.0 ? timeout * 2000.0 + 5000.0 : 0.0;
 
-    ChaosHook hook{this, &chaos_, &mu_, &cellSpawns_, job, &job->events};
-    const auto afterSpawn = [](pid_t pid, void *arg) {
-        auto *h = static_cast<ChaosHook *>(arg);
-        const std::lock_guard<std::mutex> lock(*h->mu);
-        const std::uint64_t n = ++*h->spawns;
-        for (auto &ev : *h->events) {
-            // drop:conn events are connection-ordinal keyed and fire in
-            // the coordinator's dispatch path, not at cell spawns.
-            if (ev.fired || ev.nth != n ||
-                ev.kind == ChaosEvent::Kind::DropConn)
-                continue;
-            ev.fired = true;
-            if (ev.kind == ChaosEvent::Kind::KillWorker) {
-                ::kill(pid, SIGKILL);
-                h->job->events.push_back(
-                    "chaos: SIGKILL cell spawn #" + std::to_string(n));
-            } else {
-                ::kill(pid, SIGSTOP);
-                h->job->events.push_back(
-                    "chaos: SIGSTOP cell spawn #" + std::to_string(n));
-            }
-        }
-    };
+    ChaosHook hook{&chaos_, &mu_, &cellSpawns_, &job->events};
     const ChildOutcome outcome =
-        runChild(spec, chaos_.empty() ? nullptr : +afterSpawn, &hook);
+        runChild(spec, chaos_.empty() ? nullptr : chaosAfterSpawn, &hook);
     const std::string errText = readCapped(spec.stderrPath);
     const FailureClass cls = classifyOutcome(outcome, errText);
 
@@ -1548,7 +1555,9 @@ Service::handleRunCells(const Json &req)
     cspec.stdoutPath = base + ".out";
     cspec.stderrPath = base + ".err";
     cspec.deadlineMs = timeout > 0.0 ? timeout * 2000.0 + 5000.0 : 0.0;
-    const ChildOutcome outcome = runChild(cspec);
+    ChaosHook hook{&chaos_, &mu_, &cellSpawns_, nullptr};
+    const ChildOutcome outcome =
+        runChild(cspec, chaos_.empty() ? nullptr : chaosAfterSpawn, &hook);
     const std::string errText = readCapped(cspec.stderrPath);
     const FailureClass cls = classifyOutcome(outcome, errText);
     if (cls != FailureClass::None) {
@@ -1835,9 +1844,12 @@ Service::run(std::string &err)
         pc.authToken = cfg_.authToken;
         pool_ = std::make_unique<WorkerPool>(cfg_.workerAddrs, pc);
         std::vector<std::uint64_t> drops;
-        for (const auto &ev : chaos_)
+        for (const auto &ev : chaos_) {
             if (ev.kind == ChaosEvent::Kind::DropConn)
                 drops.push_back(ev.nth);
+            if (ev.kind == ChaosEvent::Kind::KillCoordinator)
+                pool_->injectKillAfterSteal(ev.nth);
+        }
         if (!drops.empty())
             pool_->injectConnDrops(drops);
         pool_->start();

@@ -86,9 +86,11 @@ FailureClass classifyOutcome(const ChildOutcome &outcome,
  * One deterministic chaos injection, mirroring the maps::fault
  * `kind:surface@trigger` spec grammar: `kill:worker@n=3` SIGKILLs the
  * 3rd spawned cell child, `hang:worker@n=5` SIGSTOPs the 5th (the hard
- * deadline later SIGKILLs it), `drop:conn@n=2` partitions the 2nd
- * coordinator-to-worker dispatch connection after the request is sent.
- * Each event fires exactly once.
+ * deadline later SIGKILLs it) — local and remote (run_cells) children
+ * share the spawn ordinal — `drop:conn@n=2` partitions the 2nd
+ * coordinator-to-worker dispatch connection after the request is sent,
+ * and `kill:coordinator@n=1` SIGKILLs a coordinator daemon itself right
+ * after it journals its 1st steal. Each event fires exactly once.
  */
 struct ChaosEvent
 {
@@ -96,10 +98,11 @@ struct ChaosEvent
     {
         KillWorker,
         HangWorker,
-        DropConn, ///< Coordinator-side TCP partition injection.
+        DropConn,        ///< Coordinator-side TCP partition injection.
+        KillCoordinator, ///< Coordinator self-SIGKILL, by steal ordinal.
     };
     Kind kind = Kind::KillWorker;
-    std::uint64_t nth = 0; ///< 1-based cell-spawn ordinal to hit.
+    std::uint64_t nth = 0; ///< 1-based ordinal to hit.
     bool fired = false;
 };
 

@@ -189,7 +189,9 @@ class ReferenceLru
 struct LruEquivParam
 {
     std::uint64_t size;
-    std::uint32_t assoc;
+    // 64-bit so the struct has no padding: gtest prints the raw bytes
+    // into the ctest case name, which must not vary between builds.
+    std::uint64_t assoc;
     std::uint64_t footprint;
 };
 
@@ -200,8 +202,9 @@ class LruEquivalence : public ::testing::TestWithParam<LruEquivParam>
 TEST_P(LruEquivalence, MatchesReferenceModel)
 {
     const auto param = GetParam();
-    auto cache = makeCache(param.size, param.assoc);
-    ReferenceLru ref(cache.geometry().numSets(), param.assoc);
+    const auto assoc = static_cast<std::uint32_t>(param.assoc);
+    auto cache = makeCache(param.size, assoc);
+    ReferenceLru ref(cache.geometry().numSets(), assoc);
 
     Rng rng(1234);
     for (int i = 0; i < 20000; ++i) {
@@ -226,6 +229,13 @@ struct PolicyParam
 {
     const char *name;
 };
+
+// Names the ctest case after the policy, not the pointer's bytes.
+void
+PrintTo(const PolicyParam &p, std::ostream *os)
+{
+    *os << p.name;
+}
 
 class EveryPolicy : public ::testing::TestWithParam<PolicyParam>
 {

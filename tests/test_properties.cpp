@@ -55,6 +55,14 @@ struct MinBoundParam
     std::uint64_t seed;
 };
 
+// Parameter printers name each ctest case by its values instead of
+// the raw bytes (pointers, padding) gtest would print otherwise.
+void
+PrintTo(const MinBoundParam &p, std::ostream *os)
+{
+    *os << p.policy << " seed=" << p.seed;
+}
+
 class MinLowerBound : public ::testing::TestWithParam<MinBoundParam>
 {
 };
@@ -107,6 +115,19 @@ struct LayoutParam
     std::uint64_t bytes;
     CounterMode mode;
 };
+
+void
+PrintTo(const LayoutParam &p, std::ostream *os)
+{
+    const std::uint64_t kib = p.bytes >> 10;
+    *os << counterModeName(p.mode) << ' ';
+    if (kib >= (1u << 20))
+        *os << (kib >> 20) << "GiB";
+    else if (kib >= (1u << 10))
+        *os << (kib >> 10) << "MiB";
+    else
+        *os << kib << "KiB";
+}
 
 class LayoutSweep : public ::testing::TestWithParam<LayoutParam>
 {

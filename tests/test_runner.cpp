@@ -633,11 +633,10 @@ TEST(RunnerDirLock, ConcurrentStaleTakeoverAdmitsExactlyOneOwner)
     // the same dead owner used to unlink-and-recreate independently,
     // so a slow contender could unlink the *fresh* lock a fast one had
     // just written and both would believe they held the directory.
-    // Takeover is now serialized through a guard file plus a
-    // post-acquisition re-verify. Each winning child enters a critical
-    // section marked by an O_EXCL "cs" file; if mutual exclusion is
-    // ever violated, that create fails with EEXIST and the child exits
-    // with a distinct code.
+    // Exclusion rests on flock(), which only one contender can win.
+    // Each winning child enters a critical section marked by an O_EXCL
+    // "cs" file; if mutual exclusion is ever violated, that create
+    // fails with EEXIST and the child exits with a distinct code.
     namespace fs = std::filesystem;
     const auto dir = fs_lock_test::lockTestDir("race");
     const auto csPath = (dir / "cs").string();
@@ -727,6 +726,52 @@ TEST(RunnerDirLock, StaleTakeoverGuardFromDeadOwnerIsCleared)
     EXPECT_TRUE(lock.held());
     EXPECT_FALSE(fs::exists(dir / ".maps-lock.takeover"))
         << "stale takeover guard must be cleaned up";
+    lock.release();
+    fs::remove_all(dir);
+}
+
+TEST(RunnerDirLock, LiveHolderBlocksUntilItDies)
+{
+    // A forked child takes the lock and holds it. This process (only
+    // a child may adopt its parent's lock, not the reverse) must be
+    // refused while the holder lives, and must get the lock once the
+    // holder is SIGKILLed without releasing — the kernel drops its
+    // flock.
+    namespace fs = std::filesystem;
+    const auto dir = fs_lock_test::lockTestDir("holder");
+    int ready[2];
+    ASSERT_EQ(::pipe(ready), 0);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ::close(ready[0]);
+        runner::DirLock lock;
+        const char ok = lock.acquire(dir.string()).empty() ? 1 : 0;
+        (void)!::write(ready[1], &ok, 1);
+        for (;;)
+            ::pause();
+    }
+    ::close(ready[1]);
+    char ok = 0;
+    ASSERT_EQ(::read(ready[0], &ok, 1), 1);
+    ::close(ready[0]);
+    ASSERT_EQ(ok, 1) << "child could not take the free lock";
+
+    runner::DirLock lock;
+    const auto err = lock.acquire(dir.string());
+    EXPECT_NE(err.find("locked by running process " +
+                       std::to_string(pid)),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(lock.held());
+
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_EQ(lock.acquire(dir.string()), "")
+        << "a killed holder's lock must be taken over";
+    EXPECT_TRUE(lock.held());
+    EXPECT_FALSE(lock.adopted());
     lock.release();
     fs::remove_all(dir);
 }

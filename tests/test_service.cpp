@@ -612,6 +612,12 @@ TEST(ServiceChaos, ParsesWellFormedSpecs)
     EXPECT_EQ(events[1].kind, ChaosEvent::Kind::HangWorker);
     EXPECT_EQ(events[1].nth, 5u);
     EXPECT_FALSE(events[2].fired);
+    EXPECT_EQ(parseChaosSpec("drop:conn@n=2,kill:coordinator@n=1", events),
+              "");
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].kind, ChaosEvent::Kind::DropConn);
+    EXPECT_EQ(events[1].kind, ChaosEvent::Kind::KillCoordinator);
+    EXPECT_EQ(events[1].nth, 1u);
 }
 
 TEST(ServiceChaos, RejectsMalformedSpecs)
@@ -619,6 +625,7 @@ TEST(ServiceChaos, RejectsMalformedSpecs)
     const char *bad[] = {
         "explode:worker@n=1", "kill:worker@when=later", "kill:worker@n=",
         "kill:worker@n=x",    "kill:worker@n=0",        "kill:worker",
+        "kill:coordinator@n=0", "kill:coordinator@steal=1",
     };
     std::vector<ChaosEvent> events;
     for (const char *spec : bad)

@@ -62,7 +62,9 @@ usage(std::FILE *to)
         "  --cell-timeout=SECS    default per-cell budget when the\n"
         "                         request does not set one\n"
         "  --chaos=SPEC           deterministic fault injection, e.g.\n"
-        "                         kill:worker@n=3,drop:conn@n=2\n"
+        "                         kill:worker@n=3,drop:conn@n=2,\n"
+        "                         kill:coordinator@n=1 (after the\n"
+        "                         1st steal)\n"
         "  --listen-tcp=HOST:PORT also serve maps-svc-v1 over TCP\n"
         "                         (port 0 = pick one; bound address is\n"
         "                         published to <state-dir>/tcp.port)\n"
