@@ -161,7 +161,7 @@ main(int argc, char **argv)
                 .add("exact", csopt.exact ? "yes" : "no (beam)");
             CellOutput out;
             out.add(std::move(row));
-            addMetricsRows(out, cell.id, report);
+            addMetricsRows(opts, out, cell.id, report);
             return out;
         }});
     }

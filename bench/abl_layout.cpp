@@ -51,7 +51,7 @@ main(int argc, char **argv)
                 probe.run();
 
                 CellOutput out;
-                const auto report = runCell(cfg, out, cell.id);
+                const auto report = runCell(opts, cfg, out, cell.id);
                 const auto &ctr_hist =
                     analyzer.typeHistogram(MetadataType::Counter);
                 const auto &hash_hist =

@@ -33,10 +33,10 @@ main(int argc, char **argv)
                                                       1'000'000);
             CellOutput out;
             cfg.secure.cache.partialWrites = false;
-            const auto off = runCell(cfg, out, cell.id + "/off");
+            const auto off = runCell(opts, cfg, out, cell.id + "/off");
 
             cfg.secure.cache.partialWrites = true;
-            const auto on = runCell(cfg, out, cell.id + "/on");
+            const auto on = runCell(opts, cfg, out, cell.id + "/on");
 
             const auto hash_reads_off =
                 off.controller

@@ -49,7 +49,7 @@ main(int argc, char **argv)
                     cfg.secure.cache.sizeBytes = size;
                     cfg.secure.cache.policy = policy;
                     const auto report =
-                        runCell(cfg, out, cell.id + "/" + policy);
+                        runCell(opts, cfg, out, cell.id + "/" + policy);
                     row.add(policy,
                             metrics::perKiloInstructions(
                                 report.controller

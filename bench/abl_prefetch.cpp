@@ -28,9 +28,9 @@ main(int argc, char **argv)
             CellOutput out;
             auto cfg = defaultConfig(bench, opts, 600'000, 200'000);
             cfg.secure.prefetchNextMetadata = false;
-            const auto off = runCell(cfg, out, cell.id + "/off");
+            const auto off = runCell(opts, cfg, out, cell.id + "/off");
             cfg.secure.prefetchNextMetadata = true;
-            const auto on = runCell(cfg, out, cell.id + "/on");
+            const auto on = runCell(opts, cfg, out, cell.id + "/on");
 
             const auto pct = [](double a, double b) {
                 return b > 0.0 ? TextTable::fmt(100.0 * (a - b) / b, 1) +

@@ -29,9 +29,9 @@ main(int argc, char **argv)
             CellOutput out;
             auto cfg = defaultConfig(bench, opts, 500'000, 150'000);
             cfg.secure.speculation = true;
-            const auto spec = runCell(cfg, out, cell.id + "/spec");
+            const auto spec = runCell(opts, cfg, out, cell.id + "/spec");
             cfg.secure.speculation = false;
-            const auto nospec = runCell(cfg, out, cell.id + "/nospec");
+            const auto nospec = runCell(opts, cfg, out, cell.id + "/nospec");
             Row row;
             row.add("benchmark", bench)
                 .add("cycles (spec)", spec.cycles)
@@ -59,12 +59,12 @@ main(int argc, char **argv)
             big_llc.secure.speculation = false;
             big_llc.hierarchy.llcBytes = 1_MiB;
             big_llc.secure.cache.sizeBytes = 16_KiB;
-            const auto a = runCell(big_llc, out, cell.id + "/big-llc");
+            const auto a = runCell(opts, big_llc, out, cell.id + "/big-llc");
 
             auto big_md = big_llc;
             big_md.hierarchy.llcBytes = 512_KiB;
             big_md.secure.cache.sizeBytes = 512_KiB;
-            const auto b = runCell(big_md, out, cell.id + "/big-md");
+            const auto b = runCell(opts, big_md, out, cell.id + "/big-md");
             Row row;
             row.add("benchmark", bench)
                 .add("big-LLC ED^2", a.ed2, 6)

@@ -99,6 +99,7 @@ main(int argc, char **argv)
         auto cfg = bench::defaultConfig(bench, opts, 350'000, 140'000);
         cfg.hierarchy.llcBytes = llc;
         cfg.secure.cache.sizeBytes = md;
+        cfg.sample = {}; // both legs are unsampled whatever --sample
         return cfg;
     };
     const auto cell_id = [](const std::string &bench, std::uint64_t llc,

@@ -84,6 +84,7 @@ main(int argc, char **argv)
                                              300'000);
         cfg.measureRefs = opts.refs(375'000);
         cfg.warmupRefs = opts.refs(75'000);
+        cfg.sample = {}; // the reference leg is exact whatever --sample
 
         const RunReport full = runBenchmark(cfg);
         if (full.sampling.enabled) {

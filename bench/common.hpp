@@ -38,7 +38,10 @@ using runner::Row;
 using runner::SectionRow;
 using runner::Value;
 
-/** Baseline configuration shared by the experiments (Table I shapes). */
+/**
+ * Baseline configuration shared by the experiments (Table I shapes),
+ * carrying the run's --sample spec.
+ */
 inline SimConfig
 defaultConfig(const std::string &benchmark, const Options &opts,
               std::uint64_t measure_base = 800'000,
@@ -51,12 +54,13 @@ defaultConfig(const std::string &benchmark, const Options &opts,
     cfg.measureRefs = opts.refs(measure_base);
     cfg.secure.layout.protectedBytes = 256_MiB;
     cfg.useDram = true;
+    cfg.sample = opts.sample;
     return cfg;
 }
 
 /**
  * Append the run's metrics-registry export to a cell's output, honoring
- * the process --metrics level (runner::metricsLevel()):
+ * the driver's --metrics level (opts.metrics):
  *
  *   off      nothing — the default bench output (and every golden) is
  *            byte-identical to a build without the registry;
@@ -75,8 +79,8 @@ defaultConfig(const std::string &benchmark, const Options &opts,
  * the cell's work function.
  */
 inline void
-addMetricsRows(CellOutput &out, const std::string &cell,
-               const RunReport &report)
+addMetricsRows(const Options &opts, CellOutput &out,
+               const std::string &cell, const RunReport &report)
 {
     // Sampled runs always disclose how their numbers were produced,
     // whatever the --metrics level: one "maps::metrics sampling" row
@@ -157,7 +161,7 @@ addMetricsRows(CellOutput &out, const std::string &cell,
             out.add("maps::metrics estimator bounds", std::move(row));
         }
     }
-    const auto level = runner::metricsLevel();
+    const auto level = opts.metrics;
     if (level == runner::MetricsLevel::Off)
         return;
     const auto &ex = report.metricsExport;
@@ -220,10 +224,10 @@ addMetricsRows(CellOutput &out, const std::string &cell,
 
 /**
  * Evaluate one simulation cell through the estimator seam
- * (core/estimator.hpp) and append its metrics/sampling/estimator rows
- * to the cell's output under @p label. This is the single helper every
- * driver routes its sweep points through, so the --estimator tier (and
- * any future evaluation knob) applies uniformly without per-driver
+ * (core/estimator.hpp) under the driver's --estimator tier and append
+ * its metrics/sampling/estimator rows to the cell's output under
+ * @p label. This is the single helper every driver routes its sweep
+ * points through, so the tier applies uniformly without per-driver
  * plumbing.
  *
  * @param kind declare grid interiors with CellKind::Interior so
@@ -231,11 +235,12 @@ addMetricsRows(CellOutput &out, const std::string &cell,
  *        simulated; the default Corner is always exact under auto.
  */
 inline RunReport
-runCell(const SimConfig &cfg, CellOutput &out, const std::string &label,
+runCell(const Options &opts, const SimConfig &cfg, CellOutput &out,
+        const std::string &label,
         estimator::CellKind kind = estimator::CellKind::Corner)
 {
-    RunReport report = estimator::run(cfg, kind);
-    addMetricsRows(out, label, report);
+    RunReport report = estimator::runWithMode(cfg, opts.estimator, kind);
+    addMetricsRows(opts, out, label, report);
     return report;
 }
 

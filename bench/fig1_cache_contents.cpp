@@ -68,7 +68,7 @@ main(int argc, char **argv)
                         cfg.measureRefs, 1'200'000);
                     cfg.secure.cache = c.make(size);
                     const auto report = runCell(
-                        cfg, out, cell.id + "/" + c.label, kind);
+                        opts, cfg, out, cell.id + "/" + c.label, kind);
                     row.add(c.label, report.metadataMpki, 1);
                 }
                 out.add("benchmark: " + benchmark, std::move(row));

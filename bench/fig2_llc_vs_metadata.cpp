@@ -55,8 +55,9 @@ main(int argc, char **argv)
         baseline_cells.push_back(
             {"baseline/" + bench, 0, [=](const Cell &cell) {
                 CellOutput out;
-                const auto rep = runCell(
-                    make_cfg(bench, 2_MiB, 16_KiB, false), out, cell.id);
+                const auto rep =
+                    runCell(opts, make_cfg(bench, 2_MiB, 16_KiB, false),
+                            out, cell.id);
                 out.add(Row{}.add("ed2", rep.ed2, 9));
                 return out;
             }});
@@ -91,13 +92,13 @@ main(int argc, char **argv)
                 std::vector<double> ratios;
                 for (const auto &bench : avg_set) {
                     const auto rep =
-                        runCell(make_cfg(bench, llc, md, true), out,
+                        runCell(opts, make_cfg(bench, llc, md, true), out,
                                 cell.id + "/" + bench, kind);
                     ratios.push_back(rep.ed2 / baseline_ed2->at(bench));
                 }
                 const double avg = geometricMean(ratios);
                 const auto canneal_rep =
-                    runCell(make_cfg("canneal", llc, md, true), out,
+                    runCell(opts, make_cfg("canneal", llc, md, true), out,
                             cell.id + "/canneal", kind);
                 const double canneal =
                     canneal_rep.ed2 / baseline_ed2->at("canneal");

@@ -59,7 +59,7 @@ main(int argc, char **argv)
                 }
                 out.add(section, std::move(row));
             }
-            addMetricsRows(out, cell.id, report);
+            addMetricsRows(opts, out, cell.id, report);
             return out;
         }});
     }

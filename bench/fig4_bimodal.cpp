@@ -52,7 +52,7 @@ main(int argc, char **argv)
                 .add("bimodality", bimodalityScore(workload_driven), 3);
             CellOutput out;
             out.add(std::move(row));
-            addMetricsRows(out, cell.id, report);
+            addMetricsRows(opts, out, cell.id, report);
             return out;
         }});
     }

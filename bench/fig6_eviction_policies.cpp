@@ -41,7 +41,8 @@ struct PolicyRun
 };
 
 PolicyRun
-runPolicy(const SimConfig &base, std::unique_ptr<ReplacementPolicy> policy,
+runPolicy(const Options &opts, const SimConfig &base,
+          std::unique_ptr<ReplacementPolicy> policy,
           std::vector<Addr> *trace_out, CellOutput *metrics_out = nullptr,
           const std::string &metrics_label = "")
 {
@@ -56,7 +57,7 @@ runPolicy(const SimConfig &base, std::unique_ptr<ReplacementPolicy> policy,
     }
     const auto report = sim.run();
     if (metrics_out)
-        addMetricsRows(*metrics_out, metrics_label, report);
+        addMetricsRows(opts, *metrics_out, metrics_label, report);
     return {report.mdCache.totalMisses(),
             report.controller.metadataMemAccesses(),
             report.instructions};
@@ -99,19 +100,19 @@ main(int argc, char **argv)
             // rows so consumers can keep using rows.front().
             CellOutput metrics;
             const auto plru =
-                runPolicy(base, makeReplacementPolicy("plru"), nullptr,
+                runPolicy(opts, base, makeReplacementPolicy("plru"), nullptr,
                           &metrics, cell.id + "/plru");
             const auto eva =
-                runPolicy(base, makeReplacementPolicy("eva"), nullptr,
+                runPolicy(opts, base, makeReplacementPolicy("eva"), nullptr,
                           &metrics, cell.id + "/eva");
             const auto lru =
-                runPolicy(base, makeReplacementPolicy("lru"), nullptr,
+                runPolicy(opts, base, makeReplacementPolicy("lru"), nullptr,
                           &metrics, cell.id + "/lru");
             const auto srrip =
-                runPolicy(base, makeReplacementPolicy("srrip"), nullptr,
+                runPolicy(opts, base, makeReplacementPolicy("srrip"), nullptr,
                           &metrics, cell.id + "/srrip");
             const auto eva_typed =
-                runPolicy(base, makeReplacementPolicy("eva-typed"),
+                runPolicy(opts, base, makeReplacementPolicy("eva-typed"),
                           nullptr, &metrics, cell.id + "/eva-typed");
 
             // MIN and iterMIN via the fixed-point driver: iteration 0
@@ -123,7 +124,7 @@ main(int argc, char **argv)
                 [&](std::unique_ptr<ReplacementPolicy> policy,
                     std::vector<Addr> &trace_out) -> std::uint64_t {
                 const auto run = runPolicy(
-                    base, std::move(policy), &trace_out, &metrics,
+                    opts, base, std::move(policy), &trace_out, &metrics,
                     cell.id + "/min.iter" +
                         std::to_string(iterations.size()));
                 iterations.push_back(run);

@@ -38,13 +38,13 @@ main(int argc, char **argv)
     };
 
     const auto scheme_row =
-        [make_cfg](const std::string &bench, PartitionScheme scheme,
-                   std::uint32_t split, const Cell &cell,
-                   CellOutput &metrics, estimator::CellKind kind) {
+        [opts, make_cfg](const std::string &bench, PartitionScheme scheme,
+                         std::uint32_t split, const Cell &cell,
+                         CellOutput &metrics, estimator::CellKind kind) {
             auto cfg = make_cfg(bench, true);
             cfg.secure.cache.partition = scheme;
             cfg.secure.cache.staticCounterWays = split;
-            const auto rep = runCell(cfg, metrics, cell.id, kind);
+            const auto rep = runCell(opts, cfg, metrics, cell.id, kind);
             return Row{}
                 .add("ed2", rep.ed2, 9)
                 .add("mpki", rep.metadataMpki, 6);
@@ -63,10 +63,11 @@ main(int argc, char **argv)
     };
     std::vector<Variant> variants;
     variants.push_back(
-        {"baseline", [make_cfg](const std::string &b, const Cell &cell,
-                                CellOutput &metrics) {
+        {"baseline", [opts, make_cfg](const std::string &b,
+                                      const Cell &cell,
+                                      CellOutput &metrics) {
             const auto rep =
-                runCell(make_cfg(b, false), metrics, cell.id);
+                runCell(opts, make_cfg(b, false), metrics, cell.id);
             return Row{}.add("ed2", rep.ed2, 9);
         }});
     variants.push_back(

@@ -514,7 +514,7 @@ pinReason(const SimConfig &cfg, Mode mode, CellKind kind)
 {
     if (!cfg.secureEnabled)
         return "insecure-baseline";
-    if (cfg.sample.enabled || runner::sampleSpec().enabled)
+    if (cfg.sample.enabled)
         return "sampled";
     if (mode == Mode::Auto && kind == CellKind::Corner)
         return "sweep-corner";
@@ -542,12 +542,6 @@ runWithMode(const SimConfig &cfg, Mode mode, CellKind kind)
     const auto entry = entryFor(cfg);
     std::call_once(entry->once, [&] { buildEntry(*entry, cfg); });
     return analyticReport(cfg, *entry, mode);
-}
-
-RunReport
-run(const SimConfig &cfg, CellKind kind)
-{
-    return runWithMode(cfg, runner::estimatorMode(), kind);
 }
 
 void

@@ -1,7 +1,8 @@
 /**
  * @file
  * The estimator seam (docs/ESTIMATOR.md): every driver evaluates its
- * cells through estimator::run(), which dispatches to a backend tier.
+ * cells through estimator::runWithMode() (via bench::runCell, which
+ * passes the driver's --estimator), dispatching to a backend tier.
  *
  *   sim       SecureMemorySim::run() — exact, byte-identical to a build
  *             without the seam; the default.
@@ -29,16 +30,13 @@
 namespace maps::estimator {
 
 /**
- * Evaluate one cell under the process-wide runner::estimatorMode().
- * Under Mode::Sim the returned report is bit-identical to
- * SecureMemorySim(cfg).run() (estimator section disabled).
+ * Evaluate one cell under @p mode. Under Mode::Sim the returned report
+ * is bit-identical to SecureMemorySim(cfg).run() (estimator section
+ * disabled).
  *
  * @param kind the driver's hint about the cell's sweep role; only
  *        consulted under Mode::Auto.
  */
-RunReport run(const SimConfig &cfg, CellKind kind = CellKind::Corner);
-
-/** Same, with an explicit mode (tests and the estimator gate). */
 RunReport runWithMode(const SimConfig &cfg, Mode mode,
                       CellKind kind = CellKind::Corner);
 

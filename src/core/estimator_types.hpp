@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared vocabulary of the estimator seam (docs/ESTIMATOR.md): the
- * tier-selection mode published from `--estimator`, the cell-kind hint
+ * tier-selection mode parsed from `--estimator`, the cell-kind hint
  * drivers attach to sweep cells, and the per-run disclosure report
  * rendered as the "maps::metrics estimator" sections.
  *

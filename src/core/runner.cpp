@@ -330,10 +330,6 @@ deriveCellSeed(std::uint64_t base, std::string_view cell_id)
     return h ^ (h >> 31);
 }
 
-// ---------------------------------------------------------------------------
-// Process-wide observability state.
-// ---------------------------------------------------------------------------
-
 const char *
 metricsLevelName(MetricsLevel level)
 {
@@ -346,105 +342,6 @@ metricsLevelName(MetricsLevel level)
         return "full";
     }
     return "?";
-}
-
-namespace {
-
-std::atomic<MetricsLevel> g_metricsLevel{MetricsLevel::Off};
-std::atomic<estimator::Mode> g_estimatorMode{estimator::Mode::Sim};
-
-// Trace configuration is written once (Experiment construction, before
-// any worker starts) and claimed at most once; the mutex covers the
-// read-and-claim against a concurrent re-arm from tests.
-std::mutex g_traceMu;
-std::string g_tracePath;
-std::uint64_t g_traceSample = 4096;
-std::string g_traceCellFilter;
-std::atomic<bool> g_traceClaimed{false};
-
-thread_local std::string tlsCellId;
-
-// Published once (Experiment construction) before any worker starts;
-// the mutex only guards against test re-publication racing a reader.
-std::mutex g_sampleMu;
-sampling::SampleSpec g_sampleSpec;
-
-} // namespace
-
-MetricsLevel
-metricsLevel()
-{
-    return g_metricsLevel.load(std::memory_order_relaxed);
-}
-
-void
-setMetricsLevel(MetricsLevel level)
-{
-    g_metricsLevel.store(level, std::memory_order_relaxed);
-}
-
-estimator::Mode
-estimatorMode()
-{
-    return g_estimatorMode.load(std::memory_order_relaxed);
-}
-
-void
-setEstimatorMode(estimator::Mode mode)
-{
-    g_estimatorMode.store(mode, std::memory_order_relaxed);
-}
-
-sampling::SampleSpec
-sampleSpec()
-{
-    const std::lock_guard<std::mutex> lock(g_sampleMu);
-    return g_sampleSpec;
-}
-
-void
-setSampleSpec(const sampling::SampleSpec &spec)
-{
-    const std::lock_guard<std::mutex> lock(g_sampleMu);
-    g_sampleSpec = spec;
-}
-
-void
-setTraceEvents(std::string path, std::uint64_t sample_every,
-               std::string cell)
-{
-    const std::lock_guard<std::mutex> lock(g_traceMu);
-    g_tracePath = std::move(path);
-    g_traceSample = sample_every ? sample_every : 1;
-    g_traceCellFilter = std::move(cell);
-    g_traceClaimed.store(false, std::memory_order_relaxed);
-}
-
-std::optional<TraceClaim>
-claimTraceEvents()
-{
-    // Fast path once somebody holds the claim (or tracing is off and
-    // nothing was ever configured).
-    if (g_traceClaimed.load(std::memory_order_acquire))
-        return std::nullopt;
-    const std::lock_guard<std::mutex> lock(g_traceMu);
-    if (g_tracePath.empty())
-        return std::nullopt;
-    if (!g_traceCellFilter.empty() && tlsCellId != g_traceCellFilter)
-        return std::nullopt;
-    if (g_traceClaimed.exchange(true, std::memory_order_acq_rel))
-        return std::nullopt;
-    TraceClaim claim;
-    claim.path = g_tracePath;
-    claim.sampleEvery = g_traceSample;
-    claim.cell = tlsCellId.empty() ? std::string("run") : tlsCellId;
-    return claim;
-}
-
-const std::string &
-currentCellId()
-{
-    return tlsCellId;
 }
 
 // ---------------------------------------------------------------------------
@@ -1035,17 +932,26 @@ checkpointFileName(const std::string &phase, const Cell &cell,
 namespace {
 
 /**
- * Cooperative cancellation slot, one per worker thread. The watchdog
- * stamps cancelStamp with the slot's current cell serial; heartbeat()
- * only honors a stamp matching the cell it is called from, so a cell
- * finishing at the same moment can never cancel its successor.
+ * Per-worker state that a running cell reaches through tlsSlot.
+ *
+ * Cooperative cancellation: the watchdog stamps cancelStamp with the
+ * slot's current cell serial; heartbeat() only honors a stamp matching
+ * the cell it is called from, so a cell finishing at the same moment
+ * can never cancel its successor.
+ *
+ * Trace claim: claimTraceEvents() matches the slot's current cell
+ * against the runner's options and takes the runner's one grant.
  */
 struct WorkerSlot
 {
     std::atomic<std::uint64_t> stamp{0}; ///< 0 = idle, else cell index+1
     std::atomic<std::int64_t> startedAtMs{0};
     std::atomic<std::uint64_t> cancelStamp{0};
-    double timeoutSec = 0.0;
+    const Options *opts = nullptr;
+    /** The runner's grant flag, shared by every slot of one run(). */
+    std::atomic<bool> *traceClaimed = nullptr;
+    /** The cell this worker is executing; written by its own thread. */
+    const Cell *cell = nullptr;
 };
 
 thread_local WorkerSlot *tlsSlot = nullptr;
@@ -1072,8 +978,23 @@ heartbeat()
     char buf[96];
     std::snprintf(buf, sizeof(buf),
                   "cell exceeded --cell-timeout=%gs and was cancelled",
-                  slot->timeoutSec);
+                  slot->opts->cellTimeoutSec);
     throw CellTimedOut(buf);
+}
+
+std::optional<TraceClaim>
+claimTraceEvents()
+{
+    const WorkerSlot *slot = tlsSlot;
+    if (!slot)
+        return std::nullopt;
+    const Options &opts = *slot->opts;
+    const std::string &cell = slot->cell->id;
+    if (opts.traceEventsPath.empty() ||
+        (!opts.traceCell.empty() && cell != opts.traceCell) ||
+        slot->traceClaimed->exchange(true))
+        return std::nullopt;
+    return TraceClaim{opts.traceEventsPath, opts.traceSample, cell};
 }
 
 // ---------------------------------------------------------------------------
@@ -1322,10 +1243,13 @@ ExperimentRunner::run(const std::vector<Cell> &cells,
     std::mutex fail_mu;
     std::vector<CellFailure> failures;
 
+    // The trace grant persists across this runner's run() calls.
+    std::atomic<bool> trace_claimed{traceClaimed_};
     std::vector<std::unique_ptr<WorkerSlot>> slots;
     for (unsigned t = 0; t < jobs; ++t) {
         slots.push_back(std::make_unique<WorkerSlot>());
-        slots.back()->timeoutSec = opts_.cellTimeoutSec;
+        slots.back()->opts = &opts_;
+        slots.back()->traceClaimed = &trace_claimed;
     }
 
     std::vector<char> visited(work.size(), 0);
@@ -1345,7 +1269,7 @@ ExperimentRunner::run(const std::vector<Cell> &cells,
             if (loaded[i] || !selected[i])
                 continue;
             tlsStamp = static_cast<std::uint64_t>(i) + 1;
-            tlsCellId = work[i].id;
+            slot->cell = &work[i];
             slot->startedAtMs.store(nowMs(), std::memory_order_relaxed);
             slot->stamp.store(tlsStamp, std::memory_order_release);
             bool ok = true;
@@ -1389,7 +1313,6 @@ ExperimentRunner::run(const std::vector<Cell> &cells,
             progress.completed(work[i].id);
         }
         tlsSlot = nullptr;
-        tlsCellId.clear();
     };
 
     // Cooperative watchdog: flags a slot whose current cell has been
@@ -1434,6 +1357,7 @@ ExperimentRunner::run(const std::vector<Cell> &cells,
         stop_watchdog.store(true, std::memory_order_relaxed);
         watchdog.join();
     }
+    traceClaimed_ = trace_claimed.load();
 
     // Deterministic failure order regardless of which worker hit what.
     std::sort(failures.begin(), failures.end(),
@@ -1496,13 +1420,6 @@ Experiment::Experiment(ExperimentMeta meta, const Options &opts)
         check::setFailureMode(check::FailureMode::Record);
         check::resetStats();
     }
-    // Publish the observability options process-wide before any cell
-    // runs; the simulator and bench helpers read them from there.
-    setMetricsLevel(opts.metrics);
-    setTraceEvents(opts.traceEventsPath, opts.traceSample,
-                   opts.traceCell);
-    setSampleSpec(opts.sample);
-    setEstimatorMode(opts.estimator);
     sink_->begin(meta_, opts);
 }
 
@@ -1615,6 +1532,17 @@ Experiment::finish()
         }
         sink_->end();
         finished_ = true;
+        // No claim means no trace file. A shard (--only-cells) stays
+        // quiet, since the named cell may run in another shard, and the
+        // exit code is unchanged either way.
+        const Options &opts = runner_.options();
+        if (!opts.traceEventsPath.empty() && opts.onlyCells.empty() &&
+            !runner_.traceClaimed())
+            warn("--trace-events=" + opts.traceEventsPath +
+                 " was not written: no simulation ran in " +
+                 (opts.traceCell.empty()
+                      ? std::string("any cell (no --trace-cell filter)")
+                      : "a cell matching --trace-cell=" + opts.traceCell));
     }
     int code = 0;
     if (checking && check::failureCount() != 0)

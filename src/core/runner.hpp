@@ -138,7 +138,8 @@ struct Options
      * When non-empty, exactly one cell of the run claims the trace and
      * writes a sampled chrome://tracing event file here (schema
      * metrics::kTraceSchemaVersion). Which cell: --trace-cell when
-     * given, otherwise the first cell that starts a simulation.
+     * given, otherwise the first cell that starts a simulation. A full
+     * run that grants no claim warns on stderr from finish().
      */
     std::string traceEventsPath;
     /** Trace every N-th measured request (>= 1). */
@@ -264,43 +265,6 @@ int interruptSignal();
 /** Set/clear the graceful-stop request (signal-handler and test hook). */
 void requestInterrupt(int signo);
 
-// ---------------------------------------------------------------------------
-// Process-wide observability state.
-//
-// The Experiment harness publishes the parsed --metrics / --trace-*
-// options here once, before any cell runs; cells (and the simulator
-// beneath them) read the state without threading new parameters through
-// every driver. Setters are exposed for tests.
-// ---------------------------------------------------------------------------
-
-/** Registry emission level for this process (from --metrics). */
-MetricsLevel metricsLevel();
-void setMetricsLevel(MetricsLevel level);
-
-/**
- * Sampling spec for this process (from --sample); SecureMemorySim::run
- * reads it to decide between full and sampled execution. Like the
- * metrics level it is published once by the Experiment constructor,
- * before any cell runs.
- */
-sampling::SampleSpec sampleSpec();
-void setSampleSpec(const sampling::SampleSpec &spec);
-
-/**
- * Estimator tier for this process (from --estimator); estimator::run
- * reads it to pick a backend per cell. Published once by the Experiment
- * constructor, before any cell runs.
- */
-maps::estimator::Mode estimatorMode();
-void setEstimatorMode(maps::estimator::Mode mode);
-
-/**
- * Publish --trace-events configuration (empty @p path disables); also
- * re-arms the once-per-process claim, so tests can reuse it.
- */
-void setTraceEvents(std::string path, std::uint64_t sample_every,
-                    std::string cell);
-
 /** A granted --trace-events claim: where and how to write the trace. */
 struct TraceClaim
 {
@@ -311,20 +275,14 @@ struct TraceClaim
 };
 
 /**
- * Try to claim the process's --trace-events output for the calling
- * cell. At most one claim is granted per configuration: the cell whose
- * id matches --trace-cell, or — without a filter — the first caller.
- * Returns nullopt when tracing is off, filtered to another cell, or
- * already claimed. SecureMemorySim::run() calls this automatically.
+ * Try to claim the --trace-events output of the ExperimentRunner whose
+ * worker is calling. Each runner grants at most one claim: to the cell
+ * whose id matches --trace-cell, or — without a filter — to the first
+ * caller. Returns nullopt when tracing is off, filtered to another
+ * cell, already claimed, or when called outside a runner worker.
+ * SecureMemorySim::run() calls this automatically.
  */
 std::optional<TraceClaim> claimTraceEvents();
-
-/**
- * Id of the cell the calling worker thread is currently executing
- * (empty outside runner workers). Stable for the duration of one cell's
- * work function.
- */
-const std::string &currentCellId();
 
 // ---------------------------------------------------------------------------
 // Values, rows, cells.
@@ -560,9 +518,13 @@ class ExperimentRunner
     /** --only-cells ids that never matched any cell of any run(). */
     std::vector<std::string> unmatchedOnlyCells() const;
 
+    /** Whether a cell of any run() was granted the --trace-events claim. */
+    bool traceClaimed() const { return traceClaimed_; }
+
   private:
     Options opts_;
     std::vector<CellFailure> failures_;
+    bool traceClaimed_ = false;
     std::uint64_t resumedCells_ = 0;
     std::uint64_t shardSkipped_ = 0;
     std::uint64_t interruptedCells_ = 0;

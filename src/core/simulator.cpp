@@ -5,7 +5,6 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "core/estimator.hpp"
 #include "core/runner.hpp"
 #include "metrics/derived.hpp"
 #include "util/logging.hpp"
@@ -177,20 +176,15 @@ SecureMemorySim::run()
     // work between calls, frequent enough to bound overshoot.
     constexpr std::uint64_t kHeartbeatRefs = 32 * 1024;
 
-    // Adopt the process-wide --sample spec (published by the runner)
-    // unless this instance was configured explicitly. A metadata-cache
-    // policy override (e.g. the fig6 oracles) forces full simulation:
-    // oracle capture/replay streams are aligned to the full access
-    // sequence, which a sampled pass would splice.
-    if (!cfg_.sample.enabled)
-        cfg_.sample = runner::sampleSpec();
+    // A metadata-cache policy override (e.g. the fig6 oracles) forces
+    // full simulation: oracle capture/replay streams are aligned to the
+    // full access sequence, which a sampled pass would splice.
     if (cfg_.sample.enabled && !mdOverride_)
         return runSampled();
 
     // Wire the sampled event trace when this cell was selected by
-    // --trace-events (at most one cell per process claims it; sampled
-    // runs never reach this point — their spliced timelines would
-    // mislead).
+    // --trace-events (at most one cell per run claims it; sampled runs
+    // never reach this point — their spliced timelines would mislead).
     if (!traceWriter_) {
         if (auto claim = runner::claimTraceEvents())
             enableTraceEvents(claim->path, claim->sampleEvery,
@@ -879,7 +873,7 @@ SecureMemorySim::runSampled()
 RunReport
 runBenchmark(const SimConfig &cfg)
 {
-    return estimator::run(cfg, estimator::CellKind::Corner);
+    return SecureMemorySim(cfg).run();
 }
 
 } // namespace maps

@@ -53,11 +53,11 @@ struct SimConfig
 
     /**
      * Representative-interval sampling (docs/SAMPLING.md). Disabled by
-     * default; when run() finds it disabled it adopts the process-wide
-     * runner::sampleSpec() published from --sample. A metadata-cache
-     * policy override forces a full run (oracle capture/replay streams
-     * must stay aligned with the full access sequence) and leaves
-     * RunReport::sampling.enabled false.
+     * default; bench drivers copy --sample here through
+     * bench::defaultConfig. A metadata-cache policy override forces a
+     * full run (oracle capture/replay streams must stay aligned with
+     * the full access sequence) and leaves RunReport::sampling.enabled
+     * false.
      */
     sampling::SampleSpec sample;
     /**
@@ -259,11 +259,8 @@ class SecureMemorySim
 };
 
 /**
- * Convenience: run one benchmark with a given config, through the
- * estimator seam (core/estimator.hpp) under the process-wide
- * runner::estimatorMode(). Cells routed here carry no sweep-interior
- * hint, so Mode::Auto pins them to full simulation; drivers that sweep
- * grids call estimator::run() directly with a CellKind.
+ * Convenience: SecureMemorySim(cfg).run(). Always the exact sim tier;
+ * drivers that honor --estimator go through bench::runCell.
  */
 RunReport runBenchmark(const SimConfig &cfg);
 

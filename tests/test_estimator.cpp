@@ -272,19 +272,6 @@ TEST(Estimator, AutoEstimatesInteriorsPinsCorners)
     EXPECT_EQ(interior.estimator.mode, "auto");
 }
 
-TEST(Estimator, RunFollowsProcessWideMode)
-{
-    const SimConfig cfg = smallConfig();
-    runner::setEstimatorMode(Mode::Analytic);
-    const RunReport est = estimator::run(cfg, CellKind::Interior);
-    runner::setEstimatorMode(Mode::Sim);
-    EXPECT_TRUE(est.estimator.enabled);
-    EXPECT_EQ(est.estimator.tier, "analytic");
-
-    const RunReport sim = estimator::run(cfg, CellKind::Interior);
-    EXPECT_FALSE(sim.estimator.enabled);
-}
-
 TEST(EstimatorResumeDeathTest, ManifestRefusesMixedEstimatorModes)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";

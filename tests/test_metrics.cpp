@@ -9,7 +9,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
 
 #include "cache/cache.hpp"
 #include "check/check.hpp"
@@ -392,7 +397,7 @@ TEST(TraceEvents, SamplingBoundsEventCount)
 }
 
 // ---------------------------------------------------------------------------
-// Runner plumbing: option parsing and the once-per-process trace claim.
+// Runner plumbing: option parsing and the once-per-run trace claim.
 // ---------------------------------------------------------------------------
 
 TEST(RunnerMetrics, OptionsParseMetricsAndTraceFlags)
@@ -414,26 +419,99 @@ TEST(RunnerMetrics, OptionsParseMetricsAndTraceFlags)
     EXPECT_NE(runner::Options::tryParse({"--trace-events="}, bad), "");
 }
 
-TEST(RunnerMetrics, TraceClaimGrantedOncePerConfiguration)
+/**
+ * Run a four-cell experiment at --jobs=4 with --trace-events=@p path
+ * (and --trace-cell=@p cell unless empty). Each cell runs two tiny
+ * sims and moves the trace file aside after each one, so every traced
+ * sim leaves a file of its own. Returns the bodies of those files and
+ * fills @p warnings with what finish() printed on stderr.
+ */
+std::vector<std::string>
+runTracedGrid(const std::filesystem::path &path, const std::string &cell,
+              std::string &warnings)
 {
-    runner::setTraceEvents("claim_test.json", 32, "");
-    const auto first = runner::claimTraceEvents();
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->path, "claim_test.json");
-    EXPECT_EQ(first->sampleEvery, 32u);
-    EXPECT_FALSE(runner::claimTraceEvents().has_value())
-        << "second claim must be refused";
+    runner::Options opts;
+    opts.jobs = 4;
+    opts.progress = false;
+    opts.outPath = path.string() + ".out";
+    opts.traceEventsPath = path.string();
+    opts.traceSample = 64;
+    opts.traceCell = cell;
+    runner::Experiment exp({"trace_claim", "probe", "probe"}, opts);
 
-    // Re-arming resets the claim; a cell filter that matches nobody
-    // (we are not on a worker thread, so currentCellId() is empty)
-    // never grants.
-    runner::setTraceEvents("claim_test.json", 32, "some/cell");
-    EXPECT_EQ(runner::currentCellId(), "");
-    EXPECT_FALSE(runner::claimTraceEvents().has_value());
+    std::mutex mu;
+    std::vector<std::string> moved;
+    std::vector<runner::Cell> cells;
+    for (const char *id : {"c0", "c1", "c2", "c3"}) {
+        cells.push_back({id, 0, [&](const runner::Cell &c) {
+            for (int k = 0; k < 2; ++k) {
+                SecureMemorySim(tinyConfig()).run();
+                const auto aside = path.string() + "." + c.id + "." +
+                                   std::to_string(k);
+                std::error_code ec;
+                std::filesystem::rename(path, aside, ec);
+                if (!ec) {
+                    const std::lock_guard<std::mutex> lock(mu);
+                    moved.push_back(aside);
+                }
+            }
+            return runner::CellOutput{};
+        }});
+    }
+    exp.run(cells);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(exp.finish(), 0);
+    warnings = ::testing::internal::GetCapturedStderr();
 
-    // Disable again so later tests in this process see no tracing.
-    runner::setTraceEvents("", 0, "");
+    std::vector<std::string> bodies;
+    for (const auto &file : moved) {
+        std::ifstream in(file);
+        std::ostringstream text;
+        text << in.rdbuf();
+        bodies.push_back(text.str());
+        std::filesystem::remove(file);
+    }
+    std::filesystem::remove(opts.outPath);
+    return bodies;
+}
+
+TEST(RunnerMetrics, TraceClaimGrantedOncePerRun)
+{
+    const auto path = std::filesystem::temp_directory_path() /
+                      ("maps_trace_claim_" + std::to_string(::getpid()) +
+                       ".json");
+    std::string warnings;
+
+    // First come: exactly one of the eight sims is traced.
+    auto traced = runTracedGrid(path, "", warnings);
+    ASSERT_EQ(traced.size(), 1u);
+    EXPECT_NE(traced[0].find("\"sample_every\":64"), std::string::npos);
+    EXPECT_EQ(warnings, "");
+
+    // A second Experiment in the same process grants again, and the
+    // filter routes the grant to the named cell.
+    traced = runTracedGrid(path, "c2", warnings);
+    ASSERT_EQ(traced.size(), 1u);
+    EXPECT_NE(traced[0].find("\"cell\":\"c2\""), std::string::npos);
+    EXPECT_EQ(warnings, "");
+
+    // Outside a runner worker there is nothing to claim.
     EXPECT_FALSE(runner::claimTraceEvents().has_value());
+}
+
+TEST(RunnerMetrics, UngrantedTraceClaimWarns)
+{
+    const auto path = std::filesystem::temp_directory_path() /
+                      ("maps_trace_unclaimed_" +
+                       std::to_string(::getpid()) + ".json");
+    std::string warnings;
+    EXPECT_TRUE(runTracedGrid(path, "nosuch", warnings).empty());
+    EXPECT_FALSE(std::filesystem::exists(path));
+    EXPECT_NE(warnings.find("--trace-events=" + path.string()),
+              std::string::npos)
+        << warnings;
+    EXPECT_NE(warnings.find("--trace-cell=nosuch"), std::string::npos)
+        << warnings;
 }
 
 } // namespace
