@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -266,7 +267,8 @@ Options::usage(std::ostream &os, const std::string &argv0)
        << "  --trace-cell=ID               cell that claims --trace-events"
           " (default: first to start)\n"
        << "  --list-cells                  print the cell grid (phase, id,"
-          " cached|pending) instead of running\n"
+          " cached|pending) instead of running; when every cell is"
+          " cached, also render the result into --out\n"
        << "  --only-cells=ID[,ID...]       run only the named cells;"
           " others load from --resume or are skipped\n"
        << "  --sample=off|auto|k=N         representative-interval"
@@ -1318,15 +1320,20 @@ ExperimentRunner::run(const std::vector<Cell> &cells,
     // Cooperative watchdog: flags a slot whose current cell has been
     // running past --cell-timeout; the cell observes the flag at its
     // next runner::heartbeat() call and unwinds as a recorded failure.
-    std::atomic<bool> stop_watchdog{false};
+    // It scans every 25 ms but wakes at once when the phase ends, so
+    // joining it never delays run()'s return.
+    std::mutex watchdog_mu;
+    std::condition_variable watchdog_cv;
+    bool stop_watchdog = false;
     std::thread watchdog;
     if (opts_.cellTimeoutSec > 0.0) {
         const auto timeout_ms =
             static_cast<std::int64_t>(opts_.cellTimeoutSec * 1000.0);
         watchdog = std::thread([&, timeout_ms] {
-            while (!stop_watchdog.load(std::memory_order_relaxed)) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(25));
+            std::unique_lock<std::mutex> lock(watchdog_mu);
+            while (!watchdog_cv.wait_for(lock,
+                                         std::chrono::milliseconds(25),
+                                         [&] { return stop_watchdog; })) {
                 const std::int64_t now = nowMs();
                 for (const auto &slot : slots) {
                     const std::uint64_t stamp =
@@ -1354,7 +1361,11 @@ ExperimentRunner::run(const std::vector<Cell> &cells,
             t.join();
     }
     if (watchdog.joinable()) {
-        stop_watchdog.store(true, std::memory_order_relaxed);
+        {
+            const std::lock_guard<std::mutex> lock(watchdog_mu);
+            stop_watchdog = true;
+        }
+        watchdog_cv.notify_one();
         watchdog.join();
     }
     traceClaimed_ = trace_claimed.load();
@@ -1398,10 +1409,12 @@ class NullSink : public ResultSink
     void row(const SectionRow &) override {}
 };
 
+/** --list-cells renders only into an --out file: stdout carries the
+ *  cell lines. */
 std::unique_ptr<ResultSink>
 makeExperimentSink(const Options &opts)
 {
-    if (opts.listCells)
+    if (opts.listCells && opts.outPath.empty())
         return std::make_unique<NullSink>();
     return makeSink(opts);
 }
@@ -1482,15 +1495,6 @@ Experiment::note(const std::string &text)
 int
 Experiment::finish()
 {
-    if (runner_.options().listCells) {
-        // Every phase resolved from checkpoints; the grid is complete.
-        if (!finished_) {
-            std::printf("list-end complete\n");
-            std::fflush(stdout);
-            finished_ = true;
-        }
-        return 0;
-    }
     const bool checking = runner_.options().check;
     const auto &failed = runner_.failures();
     const int interrupt = interruptSignal();
@@ -1532,12 +1536,18 @@ Experiment::finish()
         }
         sink_->end();
         finished_ = true;
-        // No claim means no trace file. A shard (--only-cells) stays
-        // quiet, since the named cell may run in another shard, and the
-        // exit code is unchanged either way.
+        // --list-cells got here only if every phase resolved from
+        // checkpoints: the grid is complete and any --out file is
+        // rendered. A listing never simulates, so it has no trace
+        // claim to miss. Otherwise no claim means no trace file; a
+        // shard (--only-cells) stays quiet, since the named cell may
+        // run in another shard, and the exit code is unchanged.
         const Options &opts = runner_.options();
-        if (!opts.traceEventsPath.empty() && opts.onlyCells.empty() &&
-            !runner_.traceClaimed())
+        if (opts.listCells) {
+            std::printf("list-end complete\n");
+            std::fflush(stdout);
+        } else if (!opts.traceEventsPath.empty() && opts.onlyCells.empty() &&
+                   !runner_.traceClaimed())
             warn("--trace-events=" + opts.traceEventsPath +
                  " was not written: no simulation ran in " +
                  (opts.traceCell.empty()

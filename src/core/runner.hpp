@@ -86,7 +86,9 @@ const char *metricsLevelName(MetricsLevel level);
  *   --trace-cell=ID                which cell claims the trace (default:
  *                                  first to start)
  *   --list-cells                   print the cell grid instead of
- *                                  running it (service discovery mode)
+ *                                  running it; a grid complete from
+ *                                  --resume also renders into --out
+ *                                  (service list-or-assemble mode)
  *   --only-cells=ID[,ID...]        run only the named cells; others are
  *                                  loaded from --resume checkpoints or
  *                                  skipped (service sharding mode)
@@ -147,15 +149,20 @@ struct Options
     /** Cell id that claims --trace-events; empty = first come. */
     std::string traceCell;
     /**
-     * Cell-discovery mode for the experiment service (mapsd): instead
+     * List-or-assemble mode for the experiment service (mapsd): instead
      * of running, each run() call prints one machine-readable line per
      * cell ("cell <TAB> phase <TAB> id <TAB> cached|pending"). A phase
      * whose cells are all cached (loadable --resume checkpoints)
      * returns the loaded outputs so the driver can construct dependent
      * phases; otherwise the process prints "list-end incomplete" and
-     * exits 0 immediately — later phases are discovered by re-listing
-     * once the pending cells have been executed and checkpointed.
-     * finish() prints "list-end complete" when every phase resolved.
+     * exits 0 immediately without computing a cell — later phases are
+     * discovered by re-listing once the pending cells have been
+     * executed and checkpointed. When every phase resolved, the run
+     * has assembled its result: with --out it is rendered into that
+     * file through the normal sink (byte-identical to a plain --resume
+     * run's output; without --out it is discarded, since stdout holds
+     * the cell lines), and finish() prints "list-end complete". An
+     * incomplete listing may leave the --out file truncated.
      */
     bool listCells = false;
     /**
@@ -587,8 +594,8 @@ class Experiment
      * active); returns the process exit code: 0; 1 when --check
      * recorded divergences or cells failed; 4 when --only-cells named
      * unknown cells; 128+signo after a graceful SIGINT/SIGTERM stop.
-     * In --list-cells mode prints "list-end complete" instead of
-     * rendering results.
+     * In --list-cells mode the result renders only into --out, and
+     * "list-end complete" follows on stdout.
      */
     int finish();
 

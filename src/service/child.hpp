@@ -5,11 +5,15 @@
  * The daemon never runs simulation code in its own address space: each
  * cell (or assembly pass) is a fork/exec of the existing driver binary,
  * so a crashing, hanging or memory-hungry cell can at worst cost one
- * child process. The monitor loop enforces a *hard* wall-clock deadline
- * on top of the driver's own cooperative `--cell-timeout`: a child that
- * is stopped (chaos SIGSTOP) or stuck in uninterruptible I/O still gets
- * SIGKILLed when the deadline lapses, which is what makes per-request
- * deadlines trustworthy.
+ * child process. The monitor blocks on a pidfd of the child (poll(2)),
+ * so a child is reaped the moment it exits rather than on a polling
+ * tick; where no pidfd can be opened it falls back to polling waitpid
+ * every 20 ms. Either way it enforces a *hard* wall-clock deadline on
+ * top of the driver's own cooperative `--cell-timeout`: a child that is
+ * stopped (chaos SIGSTOP) or stuck in uninterruptible I/O never makes
+ * its pidfd readable, so the poll times out at the deadline and the
+ * child is SIGCONT+SIGKILLed, which is what makes per-request deadlines
+ * trustworthy.
  */
 #ifndef MAPS_SERVICE_CHILD_HPP
 #define MAPS_SERVICE_CHILD_HPP

@@ -144,7 +144,8 @@ RequestSpec::validate() const
     }
     static const char *kOwned[] = {"--resume",    "--only-cells",
                                    "--list-cells", "--jobs",
-                                   "--metrics",   "--cell-timeout"};
+                                   "--metrics",   "--cell-timeout",
+                                   "--out"};
     for (const auto &a : args) {
         if (a.rfind("--", 0) != 0)
             return "driver arg '" + a + "' must be a --flag";
@@ -388,29 +389,37 @@ Service::logDir(const std::string &jobId) const
     return cfg_.stateDir + "/logs/" + jobId;
 }
 
-std::string
-Service::driverPath(const RequestSpec &spec) const
+double
+Service::cellTimeout(const RequestSpec &spec) const
 {
-    return cfg_.driversDir + "/" + spec.driver;
+    return spec.cellTimeoutSec > 0.0 ? spec.cellTimeoutSec
+                                     : cfg_.defaultCellTimeoutSec;
 }
 
-std::vector<std::string>
-Service::baseArgs(const std::shared_ptr<Job> &job,
-                  const std::string &metrics) const
+ChildSpec
+Service::driverChild(const RequestSpec &spec, const std::string &jobId,
+                     const std::string &metrics,
+                     const std::string &logBase) const
 {
-    std::vector<std::string> args = job->spec.args;
-    args.push_back("--resume=" + ckDir(job->id));
-    args.push_back("--metrics=" + metrics);
-    args.push_back("--jobs=1");
-    double timeout = job->spec.cellTimeoutSec;
-    if (timeout <= 0.0)
-        timeout = cfg_.defaultCellTimeoutSec;
+    ChildSpec child;
+    child.exe = cfg_.driversDir + "/" + spec.driver;
+    child.argv = spec.args;
+    child.argv.push_back("--resume=" + ckDir(jobId));
+    child.argv.push_back("--metrics=" + metrics);
+    child.argv.push_back("--jobs=1");
+    child.stdoutPath = logBase + ".out";
+    child.stderrPath = logBase + ".err";
+    const double timeout = cellTimeout(spec);
     if (timeout > 0.0) {
         char buf[32];
         std::snprintf(buf, sizeof(buf), "--cell-timeout=%.6g", timeout);
-        args.push_back(buf);
+        child.argv.push_back(buf);
+        // The hard deadline backs the cooperative --cell-timeout: twice
+        // the budget plus slack, so a SIGSTOPped or wedged child still
+        // dies.
+        child.deadlineMs = timeout * 2000.0 + 5000.0;
     }
-    return args;
+    return child;
 }
 
 void
@@ -592,6 +601,23 @@ chaosAfterSpawn(pid_t pid, void *arg)
     }
 }
 
+/** What went wrong with a child that did not exit 0. */
+std::string
+describeOutcome(const ChildOutcome &outcome)
+{
+    switch (outcome.kind) {
+      case ChildOutcome::Kind::Exited:
+        return "exit " + std::to_string(outcome.exitCode);
+      case ChildOutcome::Kind::Signaled:
+        return "killed by signal " + std::to_string(outcome.termSignal);
+      case ChildOutcome::Kind::TimedOut:
+        return "hard deadline exceeded";
+      case ChildOutcome::Kind::SpawnFailed:
+        break;
+    }
+    return outcome.error;
+}
+
 std::string
 readCapped(const std::string &path, std::size_t cap = 65536)
 {
@@ -606,60 +632,71 @@ readCapped(const std::string &path, std::size_t cap = 65536)
 } // namespace
 
 bool
-Service::listCells(const std::shared_ptr<Job> &job,
-                   std::vector<ListedCell> &cells, bool &complete,
-                   std::string &err)
+Service::listOrAssemble(const std::shared_ptr<Job> &job,
+                        std::vector<std::string> &pending,
+                        std::uint64_t &cached, bool &complete,
+                        std::string &err, FailureClass &cls)
 {
-    cells.clear();
+    pending.clear();
+    cached = 0;
     complete = false;
-    const std::string base = logDir(job->id) + "/list.r" +
-                             std::to_string(job->counters.rounds);
-    ChildSpec spec;
-    spec.exe = driverPath(job->spec);
-    spec.argv = job->spec.args;
-    spec.argv.push_back("--resume=" + ckDir(job->id));
-    spec.argv.push_back("--metrics=off");
+    const std::string resultPath =
+        cfg_.stateDir + "/results/" + job->id + ".out";
+    const std::string tmpPath = resultPath + ".tmp";
+    ChildSpec spec = driverChild(job->spec, job->id, job->spec.metrics,
+                                 logDir(job->id) + "/list.r" +
+                                     std::to_string(job->counters.rounds));
     spec.argv.push_back("--list-cells");
-    spec.stdoutPath = base + ".out";
-    spec.stderrPath = base + ".err";
-    spec.deadlineMs = 600000; // Listing loads checkpoints, never cells.
+    spec.argv.push_back("--out=" + tmpPath);
+    spec.deadlineMs = 600000; // Loads checkpoints, never runs a cell.
     const ChildOutcome outcome = runChild(spec);
     const std::string errText = readCapped(spec.stderrPath);
-    if (classifyOutcome(outcome, errText) != FailureClass::None) {
-        err = "cell listing failed: " +
-              (outcome.error.empty()
-                   ? "exit " + std::to_string(outcome.exitCode)
-                   : outcome.error);
+    cls = classifyOutcome(outcome, errText);
+    bool sawEnd = false;
+    if (cls == FailureClass::None) {
+        std::istringstream lines(readCapped(spec.stdoutPath, 1u << 24));
+        std::string line;
+        while (std::getline(lines, line)) {
+            if (line.rfind("list-end ", 0) == 0) {
+                sawEnd = true;
+                complete = line == "list-end complete";
+                continue;
+            }
+            // "cell <TAB> phase <TAB> id <TAB> cached|pending"
+            if (line.rfind("cell\t", 0) != 0)
+                continue;
+            const std::size_t p1 = line.find('\t', 5);
+            const std::size_t p2 =
+                p1 == std::string::npos ? p1 : line.find('\t', p1 + 1);
+            if (p2 == std::string::npos)
+                continue;
+            const std::string id = line.substr(p1 + 1, p2 - p1 - 1);
+            if (line.substr(p2 + 1) == "cached")
+                ++cached;
+            else if (std::find(pending.begin(), pending.end(), id) ==
+                     pending.end())
+                pending.push_back(id);
+        }
+        if (!sawEnd) {
+            err = "driver printed no list-end marker";
+            cls = FailureClass::Deterministic;
+        }
+    } else {
+        err = "list-or-assemble failed: " + describeOutcome(outcome);
         if (!errText.empty())
             err += "; stderr: " + errText.substr(0, 512);
+    }
+    // The rendered file is the result only once the grid is complete.
+    if (cls != FailureClass::None || !complete) {
+        std::remove(tmpPath.c_str());
+        return cls == FailureClass::None;
+    }
+    if (std::rename(tmpPath.c_str(), resultPath.c_str()) != 0) {
+        err = "cannot publish result file";
+        cls = FailureClass::Transient;
         return false;
     }
-    std::istringstream lines(readCapped(spec.stdoutPath, 1u << 24));
-    std::string line;
-    bool sawEnd = false;
-    while (std::getline(lines, line)) {
-        if (line.rfind("list-end ", 0) == 0) {
-            sawEnd = true;
-            complete = line == "list-end complete";
-            continue;
-        }
-        if (line.rfind("cell\t", 0) != 0)
-            continue;
-        const std::size_t p1 = line.find('\t', 5);
-        const std::size_t p2 =
-            p1 == std::string::npos ? p1 : line.find('\t', p1 + 1);
-        if (p2 == std::string::npos)
-            continue;
-        ListedCell cell;
-        cell.phase = line.substr(5, p1 - 5);
-        cell.id = line.substr(p1 + 1, p2 - p1 - 1);
-        cell.cached = line.substr(p2 + 1) == "cached";
-        cells.push_back(std::move(cell));
-    }
-    if (!sawEnd) {
-        err = "driver printed no list-end marker";
-        return false;
-    }
+    job->resultPath = resultPath;
     return true;
 }
 
@@ -667,20 +704,10 @@ void
 Service::runCell(const CellTask &task)
 {
     const auto &job = task.job;
-    const std::string base = logDir(job->id) + "/" + task.cellId + ".a" +
-                             std::to_string(task.attempt);
-    ChildSpec spec;
-    spec.exe = driverPath(job->spec);
-    spec.argv = baseArgs(job, task.metrics);
+    ChildSpec spec = driverChild(job->spec, job->id, task.metrics,
+                                 logDir(job->id) + "/" + task.cellId +
+                                     ".a" + std::to_string(task.attempt));
     spec.argv.push_back("--only-cells=" + task.cellId);
-    spec.stdoutPath = base + ".out";
-    spec.stderrPath = base + ".err";
-    double timeout = job->spec.cellTimeoutSec;
-    if (timeout <= 0.0)
-        timeout = cfg_.defaultCellTimeoutSec;
-    // The hard deadline backs the cooperative --cell-timeout: twice the
-    // budget plus slack, so a SIGSTOPped or wedged child still dies.
-    spec.deadlineMs = timeout > 0.0 ? timeout * 2000.0 + 5000.0 : 0.0;
 
     ChaosHook hook{&chaos_, &mu_, &cellSpawns_, &job->events};
     const ChildOutcome outcome =
@@ -725,23 +752,8 @@ Service::runCell(const CellTask &task)
         cellSched_.push(task.tenant, task.prio, std::move(retry));
         workCv_.notify_one();
     } else {
-        std::string what = "cell " + task.cellId + ": ";
-        switch (outcome.kind) {
-          case ChildOutcome::Kind::Exited:
-            what += "exit " + std::to_string(outcome.exitCode);
-            break;
-          case ChildOutcome::Kind::Signaled:
-            what += "killed by signal " +
-                    std::to_string(outcome.termSignal);
-            break;
-          case ChildOutcome::Kind::TimedOut:
-            what += "hard deadline exceeded";
-            break;
-          case ChildOutcome::Kind::SpawnFailed:
-            what += outcome.error;
-            break;
-        }
-        job->roundFailures.push_back(what);
+        job->roundFailures.push_back("cell " + task.cellId + ": " +
+                                     describeOutcome(outcome));
         if (job->roundWorstClass != FailureClass::Deterministic)
             job->roundWorstClass = cls;
         --job->outstanding;
@@ -749,44 +761,6 @@ Service::runCell(const CellTask &task)
     journalJob(*job);
     if (job->outstanding == 0)
         cv_.notify_all();
-}
-
-bool
-Service::assemble(const std::shared_ptr<Job> &job, std::string &err,
-                  FailureClass &cls)
-{
-    const std::string resultPath =
-        cfg_.stateDir + "/results/" + job->id + ".out";
-    const std::string tmpPath = resultPath + ".tmp";
-    ChildSpec spec;
-    spec.exe = driverPath(job->spec);
-    spec.argv = job->spec.args;
-    spec.argv.push_back("--resume=" + ckDir(job->id));
-    spec.argv.push_back("--metrics=" + job->spec.metrics);
-    spec.argv.push_back("--jobs=1");
-    spec.stdoutPath = tmpPath;
-    spec.stderrPath = logDir(job->id) + "/assemble.err";
-    spec.deadlineMs = 600000; // Every cell is cached; this is I/O only.
-    const ChildOutcome outcome = runChild(spec);
-    const std::string errText = readCapped(spec.stderrPath);
-    cls = classifyOutcome(outcome, errText);
-    if (cls != FailureClass::None) {
-        err = "assembly failed: " +
-              (outcome.error.empty()
-                   ? "exit " + std::to_string(outcome.exitCode)
-                   : outcome.error);
-        if (!errText.empty())
-            err += "; stderr: " + errText.substr(0, 512);
-        std::remove(tmpPath.c_str());
-        return false;
-    }
-    if (std::rename(tmpPath.c_str(), resultPath.c_str()) != 0) {
-        err = "cannot publish result file";
-        cls = FailureClass::Transient;
-        return false;
-    }
-    job->resultPath = resultPath;
-    return true;
 }
 
 void
@@ -818,30 +792,26 @@ Service::coordinate(std::shared_ptr<Job> job)
                 return;
             }
         }
-        std::vector<ListedCell> cells;
-        bool complete = false;
-        std::string lerr;
-        if (!listCells(job, cells, complete, lerr)) {
-            const std::lock_guard<std::mutex> lock(mu_);
-            finishJob(*job, JobState::Failed, FailureClass::Deterministic,
-                      lerr);
-            return;
-        }
+        // One child per round lists the grid and, once every cell is
+        // checkpointed, publishes the assembled result as well.
         std::vector<std::string> pending;
         std::uint64_t cached = 0;
-        for (const auto &cell : cells) {
-            if (cell.cached) {
-                ++cached;
-            } else if (std::find(pending.begin(), pending.end(),
-                                 cell.id) == pending.end()) {
-                pending.push_back(cell.id);
-            }
-        }
+        bool complete = false;
+        std::string lerr;
+        FailureClass lcls = FailureClass::None;
+        const bool listed =
+            listOrAssemble(job, pending, cached, complete, lerr, lcls);
         std::unique_lock<std::mutex> lock(mu_);
+        if (!listed) {
+            finishJob(*job, JobState::Failed, lcls, lerr);
+            return;
+        }
         if (job->counters.rounds == 1)
             job->counters.cellsCached = cached;
-        if (complete)
-            break;
+        if (complete) {
+            finishJob(*job, JobState::Done, FailureClass::None, "");
+            return;
+        }
         if (pending.empty()) {
             finishJob(*job, JobState::Failed, FailureClass::Deterministic,
                       "driver reported an incomplete grid with no "
@@ -872,10 +842,8 @@ Service::coordinate(std::shared_ptr<Job> job)
                                    "); degrading to local execution");
             }
         }
-        if (!runLocal) {
-            lock.unlock();
+        if (!runLocal)
             continue; // Re-list: merged cells now show as cached.
-        }
         if (pool_ != nullptr) {
             job->counters.localFallbackCells += pending.size();
             addEvent(*job, "degraded: running " +
@@ -906,15 +874,6 @@ Service::coordinate(std::shared_ptr<Job> job)
             return;
         }
     }
-    std::string aerr;
-    FailureClass acls = FailureClass::None;
-    if (!assemble(job, aerr, acls)) {
-        const std::lock_guard<std::mutex> lock(mu_);
-        finishJob(*job, JobState::Failed, acls, aerr);
-        return;
-    }
-    const std::lock_guard<std::mutex> lock(mu_);
-    finishJob(*job, JobState::Done, FailureClass::None, "");
 }
 
 // ---------------------------------------------------------------------------
@@ -974,9 +933,7 @@ Service::runRemoteRound(const std::shared_ptr<Job> &job,
                         std::string &err, FailureClass &cls)
 {
     const Json specDoc = job->spec.toJson();
-    double timeout = job->spec.cellTimeoutSec;
-    if (timeout <= 0.0)
-        timeout = cfg_.defaultCellTimeoutSec;
+    const double timeout = cellTimeout(job->spec);
 
     // The have/merge pair is the exactly-once mechanism: `have` tells a
     // worker which checkpoints to skip shipping, `merge` publishes the
@@ -1136,7 +1093,7 @@ Service::schedulerLoop()
             job->state = JobState::Running;
             addEvent(*job, "started");
             journalJob(*job);
-            coordinators_.emplace_back(&Service::coordinate, this, job);
+            spawnThread([this, job] { coordinate(job); });
         }
         cv_.notify_all();
     }
@@ -1536,47 +1493,16 @@ Service::handleRunCells(const Json &req)
     if (!lockErr.empty())
         return errorResponse(lockErr, FailureClass::Transient);
 
-    ChildSpec cspec;
-    cspec.exe = driverPath(spec);
-    cspec.argv = spec.args;
-    cspec.argv.push_back("--resume=" + ckDir(id));
-    cspec.argv.push_back("--metrics=" + spec.metrics);
-    cspec.argv.push_back("--jobs=1");
-    double timeout = spec.cellTimeoutSec;
-    if (timeout <= 0.0)
-        timeout = cfg_.defaultCellTimeoutSec;
-    if (timeout > 0.0) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "--cell-timeout=%.6g", timeout);
-        cspec.argv.push_back(buf);
-    }
+    ChildSpec cspec = driverChild(spec, id, spec.metrics,
+                                  logDir(id) + "/" + cellId + ".remote");
     cspec.argv.push_back("--only-cells=" + cellId);
-    const std::string base = logDir(id) + "/" + cellId + ".remote";
-    cspec.stdoutPath = base + ".out";
-    cspec.stderrPath = base + ".err";
-    cspec.deadlineMs = timeout > 0.0 ? timeout * 2000.0 + 5000.0 : 0.0;
     ChaosHook hook{&chaos_, &mu_, &cellSpawns_, nullptr};
     const ChildOutcome outcome =
         runChild(cspec, chaos_.empty() ? nullptr : chaosAfterSpawn, &hook);
     const std::string errText = readCapped(cspec.stderrPath);
     const FailureClass cls = classifyOutcome(outcome, errText);
     if (cls != FailureClass::None) {
-        std::string what = "cell " + cellId + ": ";
-        switch (outcome.kind) {
-          case ChildOutcome::Kind::Exited:
-            what += "exit " + std::to_string(outcome.exitCode);
-            break;
-          case ChildOutcome::Kind::Signaled:
-            what += "killed by signal " +
-                    std::to_string(outcome.termSignal);
-            break;
-          case ChildOutcome::Kind::TimedOut:
-            what += "hard deadline exceeded";
-            break;
-          case ChildOutcome::Kind::SpawnFailed:
-            what += outcome.error;
-            break;
-        }
+        std::string what = "cell " + cellId + ": " + describeOutcome(outcome);
         if (!errText.empty())
             what += "; stderr: " + errText.substr(0, 512);
         return errorResponse(what, cls);
@@ -1727,9 +1653,39 @@ Service::serveConnection(int fd, bool tcp)
 }
 
 void
+Service::spawnThread(std::function<void()> fn)
+{
+    threads_.emplace_back([this, fn = std::move(fn)] {
+        fn();
+        const std::lock_guard<std::mutex> lock(mu_);
+        exitedThreads_.push_back(std::this_thread::get_id());
+    });
+}
+
+void
+Service::reapThreads()
+{
+    std::vector<std::thread> exited;
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        for (const std::thread::id id : exitedThreads_) {
+            const auto it = std::find_if(
+                threads_.begin(), threads_.end(),
+                [id](const std::thread &t) { return t.get_id() == id; });
+            exited.push_back(std::move(*it));
+            threads_.erase(it);
+        }
+        exitedThreads_.clear();
+    }
+    for (auto &t : exited)
+        t.join();
+}
+
+void
 Service::acceptLoop(int unixFd, int tcpFd)
 {
     for (;;) {
+        reapThreads();
         if (runner::interruptSignal() != 0)
             requestDrain();
         if (takeSighup())
@@ -1752,8 +1708,7 @@ Service::acceptLoop(int unixFd, int tcpFd)
                 continue;
             const bool isTcp = pfds[i].fd == tcpFd;
             const std::lock_guard<std::mutex> lock(mu_);
-            connections_.emplace_back(&Service::serveConnection, this,
-                                      fd, isTcp);
+            spawnThread([this, fd, isTcp] { serveConnection(fd, isTcp); });
         }
     }
 }
@@ -1878,15 +1833,12 @@ Service::run(std::string &err)
     }
     for (auto &t : workers_)
         t.join();
-    std::vector<std::thread> coordinators, connections;
+    std::vector<std::thread> threads;
     {
         const std::lock_guard<std::mutex> lock(mu_);
-        coordinators.swap(coordinators_);
-        connections.swap(connections_);
+        threads.swap(threads_);
     }
-    for (auto &t : coordinators)
-        t.join();
-    for (auto &t : connections)
+    for (auto &t : threads)
         t.join();
     if (pool_ != nullptr)
         pool_->stop();

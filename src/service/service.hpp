@@ -4,11 +4,12 @@
  *
  * mapsd turns the batch drivers into a long-running, crash-tolerant
  * service: clients submit an experiment request (any fig/tab/abl
- * driver) over a UNIX socket, the daemon discovers the driver's cell
- * grid (`--list-cells`), executes pending cells out of process on a
- * shared worker pool (`--only-cells=ID --resume=DIR`), and finally
- * assembles the result with one fully-cached `--resume` pass whose
- * stdout is byte-identical to a clean batch run. Robustness features:
+ * driver) over a UNIX socket, the daemon lists the driver's cell grid
+ * (`--list-cells --out=FILE --resume=DIR`), executes pending cells out
+ * of process on a shared worker pool (`--only-cells=ID --resume=DIR`),
+ * and lists again until the grid is complete — that last listing runs
+ * entirely from checkpoints and renders a FILE byte-identical to a
+ * clean batch run's stdout, which is the result. Robustness features:
  *
  *  - deadlines: the request's per-cell budget is propagated as
  *    `--cell-timeout` (cooperative) plus a hard SIGKILL deadline in the
@@ -46,6 +47,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -282,6 +284,12 @@ class Service
     void reloadTenants();
 
     // Threads.
+    /** Start a coordinator or connection thread (caller holds mu_). It
+     *  records its exit so that reapThreads() (takes mu_) can join it:
+     *  an exited, unjoined thread keeps its stack mapped, and every
+     *  fork() of the daemon copies those mappings. */
+    void spawnThread(std::function<void()> fn);
+    void reapThreads();
     void acceptLoop(int unixFd, int tcpFd);
     void serveConnection(int fd, bool tcp);
     void schedulerLoop();
@@ -319,24 +327,24 @@ class Service
                    const std::string &error);
 
     // Child invocations (no lock held).
-    struct ListedCell
-    {
-        std::string phase;
-        std::string id;
-        bool cached = false;
-    };
-    bool listCells(const std::shared_ptr<Job> &job,
-                   std::vector<ListedCell> &cells, bool &complete,
-                   std::string &err);
+    /** One `--list-cells --out=…` child: pending ids and cached count;
+     *  when @p complete, its rendered result is published. */
+    bool listOrAssemble(const std::shared_ptr<Job> &job,
+                        std::vector<std::string> &pending,
+                        std::uint64_t &cached, bool &complete,
+                        std::string &err, FailureClass &cls);
     void runCell(const CellTask &task);
-    bool assemble(const std::shared_ptr<Job> &job, std::string &err,
-                  FailureClass &cls);
 
-    std::string driverPath(const RequestSpec &spec) const;
     std::string ckDir(const std::string &jobId) const;
     std::string logDir(const std::string &jobId) const;
-    std::vector<std::string> baseArgs(const std::shared_ptr<Job> &job,
-                                      const std::string &metrics) const;
+    /** The request's per-cell budget, else the daemon default. */
+    double cellTimeout(const RequestSpec &spec) const;
+    /** The driver child every mapsd child starts from: `--resume`,
+     *  `--metrics`, `--jobs=1`, `--cell-timeout` and the hard deadline
+     *  it implies, with stdio in @p logBase `.out`/`.err`. */
+    ChildSpec driverChild(const RequestSpec &spec, const std::string &jobId,
+                          const std::string &metrics,
+                          const std::string &logBase) const;
 
     ServiceConfig cfg_;
     Journal journal_;
@@ -361,8 +369,8 @@ class Service
     bool draining_ = false;
 
     std::vector<std::thread> workers_;
-    std::vector<std::thread> coordinators_;
-    std::vector<std::thread> connections_;
+    std::vector<std::thread> threads_; ///< Coordinators and connections.
+    std::vector<std::thread::id> exitedThreads_;
 };
 
 } // namespace maps::service

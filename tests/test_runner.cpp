@@ -507,6 +507,141 @@ TEST(RunnerResume, SkipsCheckpointedCellsAndMatchesUninterrupted)
 }
 
 // ---------------------------------------------------------------------------
+// --list-cells: one run lists an incomplete grid or assembles the result.
+// ---------------------------------------------------------------------------
+
+namespace list_test {
+
+namespace fs = std::filesystem;
+
+/**
+ * A two-phase experiment whose phase "b" consumes phase "a"'s outputs.
+ * Every work function that executes leaves a marker file in @p ranDir.
+ */
+int
+runTwoPhase(const Options &opts, const fs::path &ranDir)
+{
+    runner::Experiment exp({"two_phase", "two-phase probe", "probe"},
+                           opts);
+    const auto cell = [&ranDir](const std::string &id, std::uint64_t in) {
+        return Cell{id, 0, [id, in, ranDir](const Cell &c) {
+                        std::ofstream(ranDir / id) << "ran\n";
+                        return CellOutput{}.add(
+                            Row{}.add("id", id).add("seed", c.seed).add(
+                                "input", in));
+                    }};
+    };
+    std::vector<Cell> first;
+    for (int i = 0; i < 3; ++i)
+        first.push_back(cell("a" + std::to_string(i), 0));
+    const auto a = exp.runAndEmit(first, "a");
+    std::vector<Cell> second;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        second.push_back(cell("b" + std::to_string(i),
+                              runner::detail::serializeCellOutput(a[i])
+                                  .size()));
+    exp.runAndEmit(second, "b");
+    exp.note("two dependent phases");
+    return exp.finish();
+}
+
+/** Run runTwoPhase in a child process with stdout in @p stdoutPath;
+ *  returns its exit code. */
+int
+runForked(const Options &opts, const fs::path &ranDir,
+          const fs::path &stdoutPath)
+{
+    std::fflush(stdout);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        const int fd = ::open(stdoutPath.c_str(),
+                              O_CREAT | O_WRONLY | O_TRUNC, 0644);
+        if (fd < 0 || ::dup2(fd, STDOUT_FILENO) < 0)
+            ::_exit(120);
+        ::close(fd);
+        std::exit(runTwoPhase(opts, ranDir));
+    }
+    int status = 0;
+    if (pid < 0 || ::waitpid(pid, &status, 0) != pid)
+        return -1;
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string
+slurp(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+} // namespace list_test
+
+TEST(RunnerListCells, ListsPendingPhaseOrAssemblesResult)
+{
+    using namespace list_test;
+    const auto dir = fs::temp_directory_path() /
+                     ("maps_list_test_" + std::to_string(::getpid()));
+    const auto ran = dir / "ran";
+    struct Variant
+    {
+        runner::MetricsLevel metrics;
+        bool check;
+    };
+    for (const Variant v : {Variant{runner::MetricsLevel::Full, false},
+                            Variant{runner::MetricsLevel::Off, true}}) {
+        SCOPED_TRACE(v.check ? "--check" : "--metrics=full");
+        fs::remove_all(dir);
+        fs::create_directories(ran);
+        Options opts;
+        opts.jobs = 1;
+        opts.progress = false;
+        opts.resumeDir = (dir / "ck").string();
+        opts.metrics = v.metrics;
+        opts.check = v.check;
+
+        // Checkpoint phase a only: the shard stops at phase b's holes.
+        Options shard = opts;
+        shard.onlyCells = {"a0", "a1", "a2"};
+        ASSERT_EQ(runForked(shard, ran, dir / "shard.txt"), 0);
+        fs::remove_all(ran);
+        fs::create_directories(ran);
+
+        Options list = opts;
+        list.listCells = true;
+        list.outPath = (dir / "listed.txt").string();
+        ASSERT_EQ(runForked(list, ran, dir / "list1.txt"), 0);
+        EXPECT_EQ(slurp(dir / "list1.txt"),
+                  "cell\ta\ta0\tcached\ncell\ta\ta1\tcached\n"
+                  "cell\ta\ta2\tcached\ncell\tb\tb0\tpending\n"
+                  "cell\tb\tb1\tpending\ncell\tb\tb2\tpending\n"
+                  "list-end incomplete\n");
+        EXPECT_TRUE(fs::is_empty(ran)) << "a listing computed a cell";
+
+        // A plain run fills phase b; a second one is all cached and is
+        // the reference for the assembled result.
+        ASSERT_EQ(runForked(opts, ran, dir / "fill.txt"), 0);
+        ASSERT_EQ(runForked(opts, ran, dir / "plain.txt"), 0);
+        fs::remove_all(ran);
+        fs::create_directories(ran);
+
+        ASSERT_EQ(runForked(list, ran, dir / "list2.txt"), 0);
+        EXPECT_EQ(slurp(dir / "list2.txt"),
+                  "cell\ta\ta0\tcached\ncell\ta\ta1\tcached\n"
+                  "cell\ta\ta2\tcached\ncell\tb\tb0\tcached\n"
+                  "cell\tb\tb1\tcached\ncell\tb\tb2\tcached\n"
+                  "list-end complete\n");
+        EXPECT_TRUE(fs::is_empty(ran)) << "a listing computed a cell";
+        const std::string plain = slurp(dir / "plain.txt");
+        EXPECT_NE(plain.find("b2"), std::string::npos) << plain;
+        EXPECT_EQ(slurp(dir / "listed.txt"), plain);
+        EXPECT_EQ(plain, slurp(dir / "fill.txt"));
+    }
+    fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
 // Checkpoint-directory locking.
 // ---------------------------------------------------------------------------
 

@@ -666,6 +666,7 @@ TEST(ServiceRequest, ValidateRejectsDaemonOwnedFlags)
     const char *owned[] = {
         "--resume=/tmp/x",   "--only-cells=a", "--list-cells",
         "--jobs=8",          "--metrics=full", "--cell-timeout=3",
+        "--out=/tmp/x",
     };
     for (const char *flag : owned) {
         RequestSpec bad = spec;
@@ -906,6 +907,32 @@ TEST(ServiceChild, HardDeadlineReapsStoppedChildren)
     EXPECT_EQ(outcome.kind, ChildOutcome::Kind::TimedOut);
     EXPECT_LT(outcome.elapsedMs, 10000.0);
     fs::remove_all(dir);
+}
+
+TEST(ServiceChild, ReapsWithoutPollingQuantum)
+{
+    // The monitor wakes when the child exits, not on a polling tick: ten
+    // sequential short-lived children would cost at least 200 ms if
+    // each waited out one 20 ms poll interval.
+    ChildSpec spec;
+    spec.exe = "/bin/true";
+    double totalMs = 0.0;
+    for (int i = 0; i < 10; ++i) {
+        const auto outcome = runChild(spec);
+        ASSERT_EQ(outcome.kind, ChildOutcome::Kind::Exited);
+        EXPECT_EQ(outcome.exitCode, 0);
+        totalMs += outcome.elapsedMs;
+    }
+    EXPECT_LT(totalMs, 200.0);
+
+    // A child killed before it reaches exec is reaped as soon as it
+    // dies, with no deadline to wait out.
+    spec.deadlineMs = 60000;
+    const auto killIt = [](pid_t pid, void *) { ::kill(pid, SIGKILL); };
+    const auto outcome = runChild(spec, +killIt, nullptr);
+    EXPECT_EQ(outcome.kind, ChildOutcome::Kind::Signaled);
+    EXPECT_EQ(outcome.termSignal, SIGKILL);
+    EXPECT_LT(outcome.elapsedMs, 1000.0);
 }
 
 // ---------------------------------------------------------------------------
