@@ -45,19 +45,23 @@
  * hint, only the low-priority tenant may be degraded, and the restart
  * must restore the greedy backlog from the journal (fairness survives
  * recovery). A SIGHUP reload of the tenants file is verified live at
- * the end.
+ * the end. The good tenant submits through the real mapsctl, whose
+ * ping, `status --tenants` and usage exit codes are checked too.
  *
  * Usage:
  *   chaos_service --mapsd=PATH --drivers-dir=DIR [--work-dir=DIR]
  *                 [--cell-timeout=SECS] [--distributed]
- *                 [--multitenant] [--keep]
+ *                 [--multitenant --mapsctl=PATH] [--keep]
  */
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -144,6 +148,120 @@ waitForPing(Client &client, int budgetMs)
             return true;
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
+    return false;
+}
+
+/** True when @p doc has every key in @p keys. */
+bool
+hasKeys(const Json &doc, std::initializer_list<const char *> keys)
+{
+    return std::all_of(keys.begin(), keys.end(), [&doc](const char *k) {
+        return doc.get(k) != nullptr;
+    });
+}
+
+/** True when @p resp is the full maps-svc-v1 pong: version, ok, op,
+ *  pid and the advertised pool size. */
+bool
+isPong(const std::optional<Json> &resp)
+{
+    return resp && resp->str("v") == kProtocolVersion &&
+           resp->boolean("ok") && resp->str("op") == "pong" &&
+           hasKeys(*resp, {"pid", "workers"});
+}
+
+/** True when a ping answers with the full maps-svc-v1 pong. */
+bool
+validPong(Client &client)
+{
+    Json req = Json::object();
+    req.set("v", kProtocolVersion);
+    req.set("op", "ping");
+    std::string err;
+    return isPong(client.rpc(req, err, 2000));
+}
+
+/** Start `mapsctl --socket=SOCKET ARGS...` with its stdout in
+ *  @p outPath and its stderr in @p outPath `.err`. */
+pid_t
+spawnMapsctl(const std::string &mapsctl, const std::string &socket,
+             const std::vector<std::string> &args,
+             const std::string &outPath)
+{
+    std::vector<std::string> argv = {mapsctl, "--socket=" + socket};
+    argv.insert(argv.end(), args.begin(), args.end());
+    std::vector<char *> cargv;
+    for (auto &a : argv)
+        cargv.push_back(a.data());
+    cargv.push_back(nullptr);
+    const std::string errPath = outPath + ".err";
+    const pid_t pid = ::fork();
+    if (pid != 0)
+        return pid;
+    const int out =
+        ::open(outPath.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+    const int err =
+        ::open(errPath.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+    if (out >= 0)
+        ::dup2(out, STDOUT_FILENO);
+    if (err >= 0)
+        ::dup2(err, STDERR_FILENO);
+    ::execv(cargv[0], cargv.data());
+    ::_exit(127);
+}
+
+/** Wait for a spawnMapsctl child: its exit code (-1 when it did not
+ *  exit), with what it printed in @p out. */
+int
+reapMapsctl(pid_t pid, const std::string &outPath, std::string &out)
+{
+    int status = 0;
+    const bool exited =
+        ::waitpid(pid, &status, 0) == pid && WIFEXITED(status);
+    std::string err;
+    out.clear();
+    readWholeFile(outPath, out, err);
+    return exited ? WEXITSTATUS(status) : -1;
+}
+
+/** Run `mapsctl --socket=SOCKET ARGS...` to its end; see reapMapsctl. */
+int
+runMapsctl(const std::string &mapsctl, const std::string &socket,
+           const std::vector<std::string> &args, const std::string &outPath,
+           std::string &out)
+{
+    return reapMapsctl(spawnMapsctl(mapsctl, socket, args, outPath),
+                       outPath, out);
+}
+
+/** True when a terminal job response carries the maps-svc-v1 envelope
+ *  (version, ok, class none), every resilience key in @p keys and a
+ *  non-empty result. */
+bool
+validFinal(const Json &final, std::initializer_list<const char *> keys)
+{
+    const Json *res = final.get("resilience");
+    const Json *result = final.get("result");
+    return final.str("v") == kProtocolVersion && final.boolean("ok") &&
+           final.str("class") == "none" && res != nullptr &&
+           hasKeys(*res, keys) && result != nullptr && result->isString() &&
+           !result->asString().empty();
+}
+
+/** SIGTERM @p pid and give it 30 s to drain; past that, SIGKILL its
+ *  process group. True when it drained on its own. */
+bool
+drain(pid_t pid)
+{
+    ::kill(pid, SIGTERM);
+    int status = 0;
+    for (int waited = 0; waited < 30000; waited += 100) {
+        if (::waitpid(pid, &status, WNOHANG) == pid)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    ::kill(-pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
     return false;
 }
 
@@ -286,9 +404,9 @@ runDistributed(const std::string &mapsd, const std::string &driversDir,
             return 1;
         }
         Client probe("tcp:" + w.tcpAddr);
-        expect(waitForPing(probe, 15000),
-               "worker " + std::to_string(i) + " answers ping on tcp:" +
-                   w.tcpAddr);
+        expect(waitForPing(probe, 15000) && validPong(probe),
+               "worker " + std::to_string(i) +
+                   " answers a maps-svc-v1 pong on tcp:" + w.tcpAddr);
     }
 
     // 3. Coordinator A shards across all three workers; its chaos spec
@@ -404,6 +522,12 @@ runDistributed(const std::string &mapsd, const std::string &driversDir,
            "single-host run (" +
                std::to_string(result.size()) + " vs " +
                std::to_string(refBytes.size()) + " bytes)");
+    expect(final && validFinal(*final, {"remote_cells", "steals",
+                                        "remote_retries",
+                                        "duplicate_cells", "workers_lost",
+                                        "local_fallback_cells"}),
+           "final response is a maps-svc-v1 envelope with class none, "
+           "every multi-node resilience key and a result");
     expect(counters.remoteCells >= 1,
            "counters: remote_cells >= 1 (got " +
                std::to_string(counters.remoteCells) + ")");
@@ -422,8 +546,8 @@ runDistributed(const std::string &mapsd, const std::string &driversDir,
     // prober verdict (N consecutive probe failures), so give the
     // coordinator's prober a few cycles to reach it.
     {
-        bool threeRows = false, deadSeen = false;
-        std::string schema;
+        bool threeRows = false, deadSeen = false, rowsComplete = false;
+        std::string schema, role;
         for (int waited = 0; waited < 20000; waited += 250) {
             Json req = Json::object();
             req.set("v", kProtocolVersion);
@@ -432,13 +556,22 @@ runDistributed(const std::string &mapsd, const std::string &driversDir,
             auto resp = client.rpc(req, werr, 10000);
             if (resp && resp->boolean("ok")) {
                 schema = resp->str("schema");
+                role = resp->str("role");
                 if (const Json *rows = resp->get("workers");
                     rows && rows->isArray()) {
                     threeRows = rows->items().size() == workers.size();
-                    for (const Json &row : rows->items())
+                    rowsComplete = true;
+                    for (const Json &row : rows->items()) {
+                        rowsComplete =
+                            rowsComplete &&
+                            hasKeys(row, {"addr", "state", "slots",
+                                          "inflight", "dispatched",
+                                          "completed", "transient_failures",
+                                          "stolen_from", "stolen_runs"});
                         if (row.str("addr") == workers[0].tcpAddr &&
                             row.str("state") == "dead")
                             deadSeen = true;
+                    }
                 }
             }
             if (threeRows && deadSeen)
@@ -449,22 +582,17 @@ runDistributed(const std::string &mapsd, const std::string &driversDir,
         expect(schema == "maps-workers-v1",
                "workers op answers schema maps-workers-v1 (got '" +
                    schema + "')");
+        expect(role == "coordinator",
+               "workers op reports role coordinator (got '" + role + "')");
         expect(threeRows, "workers op lists all three workers");
+        expect(rowsComplete,
+               "every workers row carries addr, state, slots, inflight, "
+               "dispatched, completed, transient_failures, stolen_from "
+               "and stolen_runs");
         expect(deadSeen, "workers op reports the SIGKILLed worker dead");
     }
 
-    // Drain coordinator B politely; escalate if it lingers.
-    ::kill(coordB, SIGTERM);
-    for (int waited = 0; waited < 30000; waited += 100) {
-        const pid_t r = ::waitpid(coordB, &status, WNOHANG);
-        if (r == coordB)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        if (waited + 100 >= 30000) {
-            ::kill(-coordB, SIGKILL);
-            ::waitpid(coordB, &status, 0);
-        }
-    }
+    expect(drain(coordB), "coordinator B drained on SIGTERM within 30 s");
     killAllWorkers();
 
     if (!keep && g_failures == 0) {
@@ -505,9 +633,9 @@ tenantRow(Client &client, const std::string &tenant, std::string &err)
  * appends to g_failures through expect() like the other paths.
  */
 int
-runMultitenant(const std::string &mapsd, const std::string &driversDir,
-               const std::string &workDir, double cellTimeoutSec,
-               bool keep)
+runMultitenant(const std::string &mapsd, const std::string &mapsctl,
+               const std::string &driversDir, const std::string &workDir,
+               double cellTimeoutSec, bool keep)
 {
     // 1. Reference bytes from an undisturbed direct run (the tenant
     // label is scheduling metadata — it must never change the bytes).
@@ -565,8 +693,8 @@ runMultitenant(const std::string &mapsd, const std::string &driversDir,
         return 1;
     }
 
-    // 3. The well-behaved tenant submits first and waits through the
-    // client retry loop — its job is the byte-identity acceptance.
+    // 3. The well-behaved tenant submits first and waits through
+    // mapsctl's retry loop — its job is the byte-identity acceptance.
     RequestSpec good;
     good.driver = "fig3_reuse_cdf";
     good.args = {"--quick"};
@@ -575,18 +703,17 @@ runMultitenant(const std::string &mapsd, const std::string &driversDir,
     good.tenant = "good";
     const std::string goodJobId = good.jobId();
 
-    RetryPolicy policy;
-    policy.budget = 20;
-    policy.baseMs = 200;
-    policy.capMs = 2000;
-
-    std::optional<Json> final;
-    std::string clientErr;
-    std::thread ctl([&] {
-        Client goodClient(socket);
-        final = goodClient.submitAndWait(good, policy, clientErr,
-                                         stderr);
-    });
+    std::vector<std::string> submitArgs = {
+        "submit",           "--driver=" + good.driver,
+        "--tenant=good",    "--metrics=" + good.metrics,
+        "--retry-budget=20", "--retry-base-ms=200",
+        "--retry-jitter=0.25", "--json"};
+    if (cellTimeoutSec > 0.0)
+        submitArgs.push_back("--cell-timeout=" +
+                             std::to_string(cellTimeoutSec));
+    submitArgs.insert(submitArgs.end(), {"--", "--quick"});
+    const std::string goodOut = workDir + "/good.json";
+    const pid_t ctl = spawnMapsctl(mapsctl, socket, submitArgs, goodOut);
     for (int waited = 0; waited < 60000; waited += 100) {
         if (!journalText(stateDir, goodJobId).empty())
             break;
@@ -598,7 +725,7 @@ runMultitenant(const std::string &mapsd, const std::string &driversDir,
     // shed with a positive retry hint.
     std::vector<std::string> jobIds = {goodJobId};
     std::size_t shedCount = 0;
-    bool hintsOk = true, classOk = true;
+    bool hintsOk = true, classOk = true, quotaNamed = false;
     for (int k = 0; k < 8; ++k) {
         RequestSpec greedy;
         greedy.driver = "fig3_reuse_cdf";
@@ -623,6 +750,8 @@ runMultitenant(const std::string &mapsd, const std::string &driversDir,
                 classOk = false;
             if (resp->num("retry_after_ms", 0.0) <= 0.0)
                 hintsOk = false;
+            if (resp->str("error").find("quota") != std::string::npos)
+                quotaNamed = true;
         }
     }
     expect(shedCount >= 1, "greedy flood tripped the queued-job quota (" +
@@ -631,6 +760,7 @@ runMultitenant(const std::string &mapsd, const std::string &driversDir,
     expect(classOk, "every greedy rejection was classified shed");
     expect(hintsOk,
            "every shed carried a positive retry_after_ms hint");
+    expect(quotaNamed, "a shed named the queued-job quota");
 
     // 5. Fair-share monitor: across daemon A's lifetime, the restart
     // and daemon B, the greedy tenant must never exceed its one-cell
@@ -700,7 +830,8 @@ runMultitenant(const std::string &mapsd, const std::string &driversDir,
         monitorStop.store(true);
         monitor.join();
         ::kill(-daemonB, SIGKILL);
-        ctl.detach();
+        ::kill(ctl, SIGKILL);
+        ::waitpid(ctl, &status, 0);
         return 1;
     }
     bool backlogRestored = false;
@@ -748,12 +879,19 @@ runMultitenant(const std::string &mapsd, const std::string &driversDir,
 
     // 9. The good tenant's job must finish byte-identical through the
     // flood, the kills and the restart.
-    ctl.join();
+    std::string goodJson, parseErr;
+    const int ctlExit = reapMapsctl(ctl, goodOut, goodJson);
     monitorStop.store(true);
     monitor.join();
-    expect(final.has_value(),
-           "good tenant's client completed through retries (" +
-               clientErr + ")");
+    expect(ctlExit == 0, "good tenant's mapsctl submit exited 0 through "
+                         "the retries (exit " +
+                             std::to_string(ctlExit) + ")");
+    const std::optional<Json> final = Json::parse(goodJson, parseErr);
+    expect(final.has_value() && final->str("v") == kProtocolVersion &&
+               final->str("job") == goodJobId,
+           "mapsctl submit --json printed the good job's maps-svc-v1 "
+           "response" +
+               (parseErr.empty() ? "" : " (" + parseErr + ")"));
     std::string state, result;
     JobCounters counters;
     if (final) {
@@ -765,6 +903,8 @@ runMultitenant(const std::string &mapsd, const std::string &driversDir,
     }
     expect(state == "done",
            "good job finished done (state=" + state + ")");
+    expect(final && final->boolean("ok") && final->str("tenant") == "good",
+           "good job's response is ok and names tenant good");
     expect(!refBytes.empty() && result == refBytes,
            "good tenant's result is byte-identical to the undisturbed "
            "run (" +
@@ -791,28 +931,61 @@ runMultitenant(const std::string &mapsd, const std::string &driversDir,
                "kill");
     }
     {
-        std::string err;
-        Json req = Json::object();
-        req.set("v", kProtocolVersion);
-        req.set("op", "tenants");
-        auto resp = client.rpc(req, err, 5000);
+        std::string out, err;
+        expect(runMapsctl(mapsctl, socket, {"ping"},
+                          workDir + "/ping.json", out) == 0 &&
+                   isPong(Json::parse(out, err)),
+               "mapsctl ping exits 0 and prints a maps-svc-v1 pong");
+        expect(runMapsctl(mapsctl, socket,
+                          {"submit", "--driver=fig3_reuse_cdf",
+                           "--retries=x"},
+                          workDir + "/bad.json", out) == 2 &&
+                   runMapsctl(mapsctl, socket,
+                              {"submit", "--driver=fig3_reuse_cdf",
+                               "--retry-jitter=1.5"},
+                              workDir + "/bad.json", out) == 2,
+               "mapsctl exits 2 on a bad --retries or --retry-jitter");
+    }
+    {
+        std::string out, err;
+        const int statusExit =
+            runMapsctl(mapsctl, socket, {"status", "--tenants"},
+                       workDir + "/tenants.json", out);
+        expect(statusExit == 0, "mapsctl status --tenants exits 0");
+        const std::optional<Json> resp = Json::parse(out, err);
         expect(resp.has_value() &&
                    resp->str("schema") == "maps-tenants-v1",
-               "tenants op answers schema maps-tenants-v1");
+               "mapsctl status --tenants prints schema maps-tenants-v1");
+        const Json *defaults = resp ? resp->get("defaults") : nullptr;
+        const Json *rows = resp ? resp->get("tenants") : nullptr;
+        std::size_t goodRows = 0;
+        bool rowsComplete = rows != nullptr && rows->isArray() &&
+                            !rows->items().empty();
+        for (const Json &row : rowsComplete ? rows->items()
+                                            : std::vector<Json>{}) {
+            goodRows += row.str("tenant") == "good";
+            rowsComplete =
+                rowsComplete &&
+                hasKeys(row, {"weight", "priority", "queued_jobs",
+                              "active_jobs", "running_cells", "submitted",
+                              "admitted", "shed_jobs", "degraded_cells",
+                              "stolen_cells", "completed_jobs"});
+        }
+        expect(resp && resp->str("v") == kProtocolVersion &&
+                   resp->boolean("ok") && hasKeys(*resp, {"config"}) &&
+                   defaults != nullptr &&
+                   hasKeys(*defaults, {"weight", "priority",
+                                       "max_queued_jobs", "max_cells"}),
+               "tenants view carries version, ok, config and the "
+               "default class's weight, priority and quotas");
+        expect(goodRows == 1, "tenants view has exactly one good row");
+        expect(rowsComplete,
+               "every tenants row carries its class, queue, cell and "
+               "shed/degrade/steal/completion counters");
     }
 
     // Drain daemon B politely; escalate if the greedy backlog lingers.
-    ::kill(daemonB, SIGTERM);
-    for (int waited = 0; waited < 30000; waited += 100) {
-        const pid_t r = ::waitpid(daemonB, &status, WNOHANG);
-        if (r == daemonB)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        if (waited + 100 >= 30000) {
-            ::kill(-daemonB, SIGKILL);
-            ::waitpid(daemonB, &status, 0);
-        }
-    }
+    drain(daemonB);
 
     if (!keep && g_failures == 0) {
         std::error_code ec;
@@ -834,6 +1007,7 @@ main(int argc, char **argv)
 {
     std::string mapsd, driversDir, workDir;
     double cellTimeoutSec = 5.0;
+    std::string mapsctl;
     bool keep = false;
     bool distributed = false;
     bool multitenant = false;
@@ -841,6 +1015,8 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         if (arg.rfind("--mapsd=", 0) == 0)
             mapsd = arg.substr(8);
+        else if (arg.rfind("--mapsctl=", 0) == 0)
+            mapsctl = arg.substr(10);
         else if (arg.rfind("--drivers-dir=", 0) == 0)
             driversDir = arg.substr(14);
         else if (arg.rfind("--work-dir=", 0) == 0)
@@ -859,11 +1035,12 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (mapsd.empty() || driversDir.empty()) {
+    if (mapsd.empty() || driversDir.empty() ||
+        (multitenant && mapsctl.empty())) {
         std::fprintf(stderr, "usage: chaos_service --mapsd=PATH "
                              "--drivers-dir=DIR [--work-dir=DIR] "
                              "[--cell-timeout=SECS] [--distributed] "
-                             "[--multitenant] [--keep]\n");
+                             "[--multitenant --mapsctl=PATH] [--keep]\n");
         return 2;
     }
     if (workDir.empty()) {
@@ -890,8 +1067,8 @@ main(int argc, char **argv)
         return runDistributed(mapsd, driversDir, workDir, cellTimeoutSec,
                               keep);
     if (multitenant)
-        return runMultitenant(mapsd, driversDir, workDir, cellTimeoutSec,
-                              keep);
+        return runMultitenant(mapsd, mapsctl, driversDir, workDir,
+                              cellTimeoutSec, keep);
     const std::string socket = workDir + "/mapsd.sock";
     const std::string stateDir = workDir + "/state";
     const std::string daemonLog = workDir + "/mapsd.log";
@@ -918,6 +1095,8 @@ main(int argc, char **argv)
         ::kill(-daemonA, SIGKILL);
         return 1;
     }
+    expect(validPong(client),
+           "daemon A answers a maps-svc-v1 pong with pid and workers");
 
     RequestSpec spec;
     spec.driver = "fig3_reuse_cdf";
@@ -981,6 +1160,11 @@ main(int argc, char **argv)
            "result is byte-identical to the undisturbed run (" +
                std::to_string(result.size()) + " vs " +
                std::to_string(refBytes.size()) + " bytes)");
+    expect(final && validFinal(*final, {"workers_killed", "hung_cells",
+                                        "requeued_cells",
+                                        "downgraded_cells", "rounds"}),
+           "final response is a maps-svc-v1 envelope with class none, "
+           "the single-host resilience keys and a result");
     expect(counters.workersKilled >= 5,
            "counters: workers_killed >= 5 (got " +
                std::to_string(counters.workersKilled) + ")");
@@ -993,18 +1177,7 @@ main(int argc, char **argv)
     expect(counters.requeuedCells >= 1,
            "counters: transiently failed cells were re-queued");
 
-    // Drain daemon B politely; escalate if it lingers.
-    ::kill(daemonB, SIGTERM);
-    for (int waited = 0; waited < 30000; waited += 100) {
-        const pid_t r = ::waitpid(daemonB, &status, WNOHANG);
-        if (r == daemonB)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        if (waited + 100 >= 30000) {
-            ::kill(-daemonB, SIGKILL);
-            ::waitpid(daemonB, &status, 0);
-        }
-    }
+    expect(drain(daemonB), "daemon B drained on SIGTERM within 30 s");
 
     if (!keep && g_failures == 0) {
         std::error_code ec;

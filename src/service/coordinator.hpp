@@ -1,37 +1,38 @@
 /**
  * @file
- * Coordinator-side scheduler for multi-node mapsd.
+ * Coordinator-side worker pool for multi-node mapsd.
  *
- * A coordinator mapsd shards a job's pending cells across remote worker
- * daemons speaking maps-svc-v1 over TCP (`op:"run_cells"`). The value of
- * this layer is not the fan-out — it is staying correct and live while
- * the fleet misbehaves:
+ * A coordinator mapsd runs its jobs' cells on remote worker daemons
+ * speaking maps-svc-v1 over TCP (`op:"run_cells"`). Each remote worker
+ * slot is one more slot the service's tenant scheduler dispatches to
+ * (Service::popCell), beside the local slots; this pool keeps what is
+ * particular to remote execution and stays correct and live while the
+ * fleet misbehaves:
  *
  *  - health probing: every worker is pinged on a fixed cadence by a
  *    background prober; consecutive failures mark it Dead, a later pong
- *    brings it back. Rounds only dispatch to live workers.
- *  - leases: a dispatched cell holds a lease on its worker with the RPC
+ *    brings it back. The pong also advertises the worker's pool size.
+ *  - slots: slot s of a worker is open while the worker is not Dead and
+ *    s is below its advertised pool size (capped at maxSlotsPerWorker).
+ *    A slot is its capacity, so a worker never gets more cells than it
+ *    advertised.
+ *  - leases: a dispatched cell holds a lease on its worker, with the RPC
  *    read deadline as the hard expiry — a partitioned or SIGSTOPped
  *    worker surfaces as a lease timeout, never a wedged thread.
- *  - work stealing: an idle slot whose queue is empty re-dispatches the
- *    oldest straggling lease (age > stealAfterMs) to a different
- *    worker. First completion wins; the loser's result is a counted
- *    duplicate that merges to the identical bytes.
- *  - retry/backoff: transient failures (dial errors, timeouts, shed
- *    admissions, killed children) requeue the cell with capped
- *    exponential backoff + jitter and a bounded per-cell attempt
- *    budget; deterministic failures fail the round immediately.
- *  - degradation: dead workers shrink the pool and the loss is
- *    surfaced in counters/events — the job stays live as long as one
- *    worker (or the coordinator's local fallback) survives.
- *  - exactly-once merge: completions hand checkpoint files to a merge
- *    callback; the caller publishes them atomically and reports
- *    merged / duplicate-identical / divergent, so stolen and retried
- *    cells collapse deterministically and a divergent worker is a loud
- *    deterministic failure instead of silent corruption.
+ *  - work stealing: an idle slot with nothing eligible takes a second
+ *    copy of the oldest single-copy lease another worker has held for
+ *    longer than stealAfterMs. The first completion settles the cell;
+ *    the other copy's result is a counted duplicate that merges to the
+ *    identical bytes.
+ *  - transport classification: only transport failures (dial, auth,
+ *    read deadline, a closed connection) count toward marking a worker
+ *    Dead. A shed or a refusal is an answer from a live worker.
+ *  - exactly-once merge: shipped checkpoint files are hex-decoded and
+ *    hash-verified here; Service::mergeRemote publishes them atomically
+ *    and byte-compares anything that already landed.
  *
- * The pool is transport-level only: it never parses checkpoints and
- * never touches the job state machine. Service::coordinate() owns both.
+ * The pool never parses checkpoints and never touches the job state
+ * machine; the service owns both.
  */
 #ifndef MAPS_SERVICE_COORDINATOR_HPP
 #define MAPS_SERVICE_COORDINATOR_HPP
@@ -39,44 +40,34 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/json.hpp"
+#include "service/tenants.hpp"
 
 namespace maps::service {
 
 /** Capped exponential backoff with symmetric jitter: attempt 0 waits
  *  ~base, doubling up to cap, scaled by (1 - jitter/2 + jitter*u) with
  *  @p unitRandom in [0,1). Shared by the client retry loop and the
- *  coordinator dispatch loop so both schedules are testable from one
+ *  service's cell requeues so both schedules are testable from one
  *  table. */
 double backoffDelayMs(double baseMs, double capMs, int attempt,
                       double jitterFrac, double unitRandom);
 
-/** One remote cell completion, as handed to the merge callback. */
-struct RemoteCellResult
-{
-    std::string cellId;
-    std::string worker;       ///< "host:port" that ran it.
-    bool stolen = false;      ///< This run was a steal re-dispatch.
-    double wallMs = 0.0;
-    /** Checkpoint files the coordinator lacked: basename -> raw bytes. */
-    std::vector<std::pair<std::string, std::string>> files;
-};
-
-/** Merge callback verdicts (exactly-once accounting). */
+/** Merge verdicts (exactly-once accounting). */
 enum class MergeVerdict : std::uint8_t
 {
     Merged,    ///< New checkpoint bytes published.
     Duplicate, ///< Already merged; bytes were byte-identical.
     Divergent, ///< Bytes differ from the merged copy: fail loudly.
-    Error,     ///< Local publish I/O failed: fail the round transiently.
+    Error,     ///< Local publish I/O failed: retry the cell.
 };
 
 struct PoolConfig
@@ -85,13 +76,7 @@ struct PoolConfig
     double leaseMs = 60000.0;
     /** Lease age that makes a cell stealable by an idle slot. */
     double stealAfterMs = 5000.0;
-    /** Transient attempts per cell before the round fails. */
-    int maxAttempts = 5;
-    /** Backoff schedule for transient requeues. */
-    double backoffBaseMs = 200.0;
-    double backoffCapMs = 5000.0;
-    double jitterFrac = 0.25;
-    /** Consecutive RPC failures that mark a worker Dead. */
+    /** Consecutive transport failures that mark a worker Dead. */
     int deadAfterFailures = 3;
     /** Background health-probe cadence. */
     double probeIntervalMs = 1000.0;
@@ -105,18 +90,33 @@ struct PoolConfig
     std::string authToken;
 };
 
-/** Why a round ended. */
-struct RoundOutcome
+struct Job; // service.hpp
+
+/** One cell of one job, as a local or remote slot runs it. */
+struct CellTask
+{
+    std::shared_ptr<Job> job;
+    std::string cellId;
+    std::string metrics;    ///< Effective level for this attempt.
+    int attempt = 0;        ///< Transient failures so far, either kind.
+    int remoteFailures = 0; ///< The remote ones among them.
+    std::string tenant;     ///< Effective tenant (never "").
+    TenantPriority prio = TenantPriority::Normal;
+    /** Backoff gate: a requeued cell waits out of its lane until then. */
+    std::chrono::steady_clock::time_point notBefore;
+};
+
+/** How one run_cells exchange ended. */
+struct DispatchResult
 {
     bool ok = false;
-    bool transientFailure = false; ///< vs deterministic when !ok.
+    bool deterministic = false; ///< The worker refused for good.
+    bool shed = false;          ///< The worker was full: retry later.
+    double retryAfterMs = 0.0;  ///< The shed's retry hint.
+    bool workerLost = false;    ///< This failure marked the worker Dead.
     std::string error;
-    std::uint64_t dispatched = 0;  ///< RPCs attempted (incl. retries).
-    std::uint64_t completed = 0;   ///< Cells merged this round.
-    std::uint64_t steals = 0;      ///< Steal re-dispatches issued.
-    std::uint64_t duplicates = 0;  ///< Duplicate completions collapsed.
-    std::uint64_t retries = 0;     ///< Transient requeues.
-    std::uint64_t workersLost = 0; ///< Workers marked Dead this round.
+    /** Checkpoint files the coordinator lacked: basename -> raw bytes. */
+    std::vector<std::pair<std::string, std::string>> files;
 };
 
 class WorkerPool
@@ -130,35 +130,38 @@ class WorkerPool
 
     /** Start the background health prober (idempotent). */
     void start();
-    /** Stop the prober and abort any in-flight round. */
+    /** Stop the prober. */
     void stop();
+
+    const PoolConfig &config() const { return cfg_; }
+    std::size_t size() const { return workers_.size(); }
+    std::string addr(std::size_t w) const { return workers_[w].addr; }
 
     /** True when at least one worker is currently believed live. */
     bool anyAlive() const;
 
-    /** The coordinator's checkpoint advertisement: (basename,
-     *  content-hash) pairs; an empty hash matches any content. */
-    using HaveList = std::vector<std::pair<std::string, std::string>>;
+    /** True while worker @p w is not Dead and @p slot is below its
+     *  advertised pool size. */
+    bool slotOpen(std::size_t w, int slot) const;
 
-    /**
-     * Dispatch @p cells for the request document @p specDoc (the
-     * run_cells "spec" value; jobId only labels events) across the live
-     * workers, retrying/stealing until every cell is merged or the
-     * round fails. @p tenant labels every lease, steal note and
-     * per-worker completion so multi-tenant accounting can attribute
-     * remote work. @p merge runs on completion threads WITHOUT pool
-     * locks held and must be idempotent; Divergent fails the round
-     * deterministically. @p event receives human-readable notes for the
-     * job log (may be null).
-     */
-    RoundOutcome runRound(
-        const Json &specDoc, const std::string &jobId,
-        const std::string &tenant,
-        const std::vector<std::string> &cells, double cellTimeoutSec,
-        const std::function<HaveList()> &haveFiles,
-        const std::function<MergeVerdict(const RemoteCellResult &)>
-            &merge,
-        const std::function<void(const std::string &)> &event);
+    /** Record that worker @p w runs @p task; returns the lease id. */
+    std::uint64_t lease(std::size_t w, const CellTask &task);
+
+    /** An idle slot on worker @p w takes a second copy of the oldest
+     *  single-copy lease another worker has held for longer than
+     *  stealAfterMs. Returns its lease id (0 = nothing to steal) and
+     *  sets @p task and the @p victim worker's address. */
+    std::uint64_t steal(std::size_t w, CellTask &task, std::string &victim);
+
+    /** Worker @p w's copy of lease @p id ended (@p ok = it completed).
+     *  True when this copy decides the cell: the first completion, or
+     *  the failure of the last copy still running. */
+    bool release(std::uint64_t id, std::size_t w, bool ok);
+
+    /** One run_cells exchange with worker @p w. The read deadline
+     *  outlives the worker's hard deadline for @p cellTimeoutSec. */
+    DispatchResult dispatch(std::size_t w, const Json &request,
+                            double cellTimeoutSec);
 
     /** Per-worker liveness/lease/steal/retry counters (maps-workers-v1
      *  rows) for the `workers` op and mapsctl status. */
@@ -168,11 +171,6 @@ class WorkerPool
      *  send (1-based), simulating a partition mid-request. Fires once
      *  per registered ordinal. */
     void injectConnDrops(const std::vector<std::uint64_t> &ordinals);
-
-    /** Chaos: SIGKILL this process right after the Nth steal (1-based,
-     *  counted across rounds) has been reported through the round's
-     *  event callback — a coordinator crash at a known point mid-job. */
-    void injectKillAfterSteal(std::uint64_t nth);
 
   private:
     enum class WorkerState : std::uint8_t
@@ -202,30 +200,29 @@ class WorkerPool
         std::map<std::string, std::uint64_t> completedByTenant;
     };
 
-    struct Lease
+    /** A leased cell: in flight on one worker, or on two while
+     *  stolen. */
+    struct InFlight
     {
-        std::size_t workerIdx = 0;
+        CellTask task;
+        std::size_t holder = 0; ///< Worker of the copy a steal may copy.
+        std::size_t thief = 0;  ///< Worker of the stolen copy.
         std::chrono::steady_clock::time_point since;
-        int duplicates = 0; ///< Steal re-dispatches in flight.
+        int copies = 1;
+        bool settled = false; ///< A copy completed; the rest are dups.
     };
-
-    struct Round; // Shared per-round scheduling state.
 
     void proberLoop();
     bool probeWorker(Worker &w); // mu_ NOT held.
-    void slotLoop(std::shared_ptr<Round> round, std::size_t workerIdx);
-    void noteRpcFailure(std::size_t workerIdx, Round &round,
-                        const std::function<void(const std::string &)>
-                            &event);
 
     const PoolConfig cfg_;
     mutable std::mutex mu_;
     std::condition_variable cv_;
     std::vector<Worker> workers_;
+    std::map<std::uint64_t, InFlight> leases_;
+    std::uint64_t nextLease_ = 1;
     std::vector<std::uint64_t> connDrops_; ///< Unfired chaos ordinals.
     std::uint64_t sends_ = 0;              ///< run_cells send ordinal.
-    std::uint64_t killAfterSteal_ = 0;     ///< Chaos steal ordinal; 0 = off.
-    std::uint64_t steals_ = 0;             ///< Steal ordinal.
     bool stopping_ = false;
     bool started_ = false;
     std::thread prober_;

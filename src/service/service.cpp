@@ -6,6 +6,7 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <random>
 #include <sstream>
 
 #include <poll.h>
@@ -113,6 +114,21 @@ parseChaosSpec(const std::string &spec, std::vector<ChaosEvent> &out)
         out.push_back(ev);
     }
     return "";
+}
+
+std::string
+cellLogName(const std::string &cellId)
+{
+    std::string name;
+    for (const char c : cellId) {
+        if (c == '%')
+            name += "%25";
+        else if (c == '/')
+            name += "%2F";
+        else
+            name += c;
+    }
+    return name;
 }
 
 std::string
@@ -747,8 +763,9 @@ Service::runCell(const CellTask &task)
 {
     const auto &job = task.job;
     ChildSpec spec = driverChild(job->spec, job->id, task.metrics,
-                                 logDir(job->id) + "/" + task.cellId +
-                                     ".a" + std::to_string(task.attempt));
+                                 logDir(job->id) + "/" +
+                                     cellLogName(task.cellId) + ".a" +
+                                     std::to_string(task.attempt));
     spec.argv.push_back("--only-cells=" + task.cellId);
 
     ChaosHook hook{&chaos_, &mu_, &cellSpawns_, &job->events};
@@ -759,9 +776,6 @@ Service::runCell(const CellTask &task)
 
     const std::lock_guard<std::mutex> lock(mu_);
     ++job->counters.cellsRun;
-    TenantStats &ts = tenantStats_[task.tenant];
-    if (cls == FailureClass::None)
-        ++ts.cellsCompleted;
     job->counters.cellWallMs +=
         static_cast<std::uint64_t>(outcome.elapsedMs);
     if (outcome.kind == ChildOutcome::Kind::Signaled)
@@ -771,38 +785,7 @@ Service::runCell(const CellTask &task)
     if (outcome.kind == ChildOutcome::Kind::Exited &&
         cls == FailureClass::Transient)
         ++job->counters.timedOutCells;
-
-    if (cls == FailureClass::None) {
-        --job->outstanding;
-    } else if (cls == FailureClass::Transient && task.attempt == 0) {
-        // One in-daemon retry per cell; a timed-out full-metrics cell is
-        // downgraded so the retry fits the budget. The downgrade is
-        // honest: it lands in the event log and the counters, and the
-        // checkpoint carries whatever level actually ran.
-        CellTask retry{job,           task.cellId, task.metrics, 1,
-                       task.tenant,   task.prio};
-        ++job->counters.requeuedCells;
-        std::string note = "cell " + task.cellId +
-                           " failed transiently; re-queued";
-        if (task.metrics == "full") {
-            retry.metrics = "summary";
-            ++job->counters.downgradedCells;
-            ++ts.degradedCells;
-            note += " with --metrics=summary";
-        }
-        addEvent(*job, note);
-        cellSched_.push(task.tenant, task.prio, std::move(retry));
-        workCv_.notify_one();
-    } else {
-        job->roundFailures.push_back("cell " + task.cellId + ": " +
-                                     describeOutcome(outcome));
-        if (job->roundWorstClass != FailureClass::Deterministic)
-            job->roundWorstClass = cls;
-        --job->outstanding;
-    }
-    journalJob(*job);
-    if (job->outstanding == 0)
-        cv_.notify_all();
+    finishCell(task, /*remote=*/false, cls, describeOutcome(outcome));
 }
 
 void
@@ -860,39 +843,8 @@ Service::coordinate(std::shared_ptr<Job> job)
                       "pending cells");
             return;
         }
-        // Coordinator mode: shard the round across the remote pool.
-        // Transient remote failures (pool died mid-round, attempts
-        // exhausted) degrade to local execution instead of failing the
-        // job — the merged checkpoints from the partial remote round
-        // are already on disk, so the local pass only runs the rest.
-        bool runLocal = true;
-        if (pool_ != nullptr && pool_->anyAlive()) {
-            journalJob(*job);
-            lock.unlock();
-            std::string rerr;
-            FailureClass rcls = FailureClass::None;
-            const bool ok = runRemoteRound(job, pending, rerr, rcls);
-            lock.lock();
-            if (ok) {
-                runLocal = false;
-            } else if (rcls == FailureClass::Deterministic) {
-                finishJob(*job, JobState::Failed, rcls, rerr);
-                return;
-            } else {
-                addEvent(*job, "remote round failed transiently (" +
-                                   rerr +
-                                   "); degrading to local execution");
-            }
-        }
-        if (!runLocal)
-            continue; // Re-list: merged cells now show as cached.
-        if (pool_ != nullptr) {
-            job->counters.localFallbackCells += pending.size();
-            addEvent(*job, "degraded: running " +
-                               std::to_string(pending.size()) +
-                               " cell(s) locally (worker pool "
-                               "unavailable)");
-        }
+        // The pending cells go to the tenant scheduler; whichever slots
+        // may take them (local, or remote on a coordinator) run them.
         job->outstanding = pending.size();
         job->roundFailures.clear();
         job->roundWorstClass = FailureClass::None;
@@ -901,8 +853,8 @@ Service::coordinate(std::shared_ptr<Job> job)
             tenants_.classFor(tenant).priority, job->spec.priority);
         for (const auto &id : pending)
             cellSched_.push(tenant, prio,
-                            CellTask{job, id, job->spec.metrics, 0,
-                                     tenant, prio});
+                            CellTask{job, id, job->spec.metrics, 0, 0,
+                                     tenant, prio, {}});
         journalJob(*job);
         workCv_.notify_all();
         cv_.wait(lock, [&job] { return job->outstanding == 0; });
@@ -919,7 +871,7 @@ Service::coordinate(std::shared_ptr<Job> job)
 }
 
 // ---------------------------------------------------------------------------
-// Multi-node rounds (coordinator side).
+// Exactly-once checkpoint exchange.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -969,95 +921,78 @@ Service::checkpointManifest(const std::string &jobId) const
     return out;
 }
 
-bool
-Service::runRemoteRound(const std::shared_ptr<Job> &job,
-                        const std::vector<std::string> &pending,
-                        std::string &err, FailureClass &cls)
+MergeVerdict
+Service::mergeRemote(
+    const std::string &jobId,
+    const std::vector<std::pair<std::string, std::string>> &files)
 {
-    const Json specDoc = job->spec.toJson();
-    const double timeout = cellTimeout(job->spec);
-
     // The have/merge pair is the exactly-once mechanism: `have` tells a
-    // worker which checkpoints to skip shipping, `merge` publishes the
-    // rest atomically and byte-compares anything that already landed —
-    // a stolen or retried cell's second completion collapses to
-    // `Duplicate`, and a worker whose bytes disagree with the merged
+    // worker which checkpoints to skip shipping, the merge publishes
+    // the rest atomically and byte-compares anything that already
+    // landed — a stolen or retried cell's second completion collapses
+    // to `Duplicate`, and a worker whose bytes disagree with the merged
     // copy is a deterministic, loud failure. mergeMu_ serializes both
     // so concurrent completions never race a half-published file.
-    const auto have = [this, &job] {
-        const std::lock_guard<std::mutex> lk(mergeMu_);
-        return checkpointManifest(job->id);
-    };
-    const auto merge =
-        [this, &job](const RemoteCellResult &r) -> MergeVerdict {
-        const std::lock_guard<std::mutex> lk(mergeMu_);
-        bool wrote = false;
-        bool compared = false;
-        for (const auto &[name, bytes] : r.files) {
-            if (!validCheckpointName(name))
+    const std::lock_guard<std::mutex> lk(mergeMu_);
+    bool wrote = false;
+    bool compared = false;
+    for (const auto &[name, bytes] : files) {
+        if (!validCheckpointName(name))
+            return MergeVerdict::Divergent;
+        const std::string path = ckDir(jobId) + "/" + name;
+        std::string existing, ferr;
+        if (readWholeFile(path, existing, ferr)) {
+            if (existing != bytes)
                 return MergeVerdict::Divergent;
-            const std::string path = ckDir(job->id) + "/" + name;
-            std::string existing, ferr;
-            if (readWholeFile(path, existing, ferr)) {
-                if (existing != bytes)
-                    return MergeVerdict::Divergent;
-                compared = true;
-                continue;
-            }
-            if (!atomicWriteFile(path, bytes, ferr))
-                return MergeVerdict::Error;
-            if (ckCache_ != nullptr)
-                ckCache_->noteWritten(path, bytes);
-            wrote = true;
+            compared = true;
+            continue;
         }
-        if (wrote || !compared) {
-            // Count the remote completion the moment its checkpoint
-            // lands, and journal it: a coordinator killed mid-round
-            // must not forget that remote workers did the work (the
-            // recovered job may have nothing left to run remotely).
-            const std::lock_guard<std::mutex> lg(mu_);
-            ++job->counters.remoteCells;
-            ++tenantStats_[tenantOf(*job)].remoteCells;
-            journalJob(*job);
-            return MergeVerdict::Merged;
-        }
-        return MergeVerdict::Duplicate;
-    };
-    const auto event = [this, &job](const std::string &what) {
-        const std::lock_guard<std::mutex> lk(mu_);
-        addEvent(*job, what);
-        journalJob(*job);
-    };
-
-    const RoundOutcome out =
-        pool_->runRound(specDoc, job->id, tenantOf(*job), pending,
-                        timeout, have, merge, event);
-    {
-        const std::lock_guard<std::mutex> lk(mu_);
-        // remoteCells is counted merge-by-merge above so it survives a
-        // mid-round crash; only the round-scoped counters land here.
-        job->counters.steals += out.steals;
-        tenantStats_[tenantOf(*job)].stolenCells += out.steals;
-        job->counters.remoteRetries += out.retries;
-        job->counters.duplicateCells += out.duplicates;
-        job->counters.workersLost += out.workersLost;
-        journalJob(*job);
+        if (!atomicWriteFile(path, bytes, ferr))
+            return MergeVerdict::Error;
+        if (ckCache_ != nullptr)
+            ckCache_->noteWritten(path, bytes);
+        wrote = true;
     }
-    if (!out.ok) {
-        err = out.error.empty() ? "remote round failed" : out.error;
-        cls = out.transientFailure ? FailureClass::Transient
-                                   : FailureClass::Deterministic;
-        return false;
-    }
-    return true;
+    return wrote || !compared ? MergeVerdict::Merged
+                              : MergeVerdict::Duplicate;
 }
 
 // ---------------------------------------------------------------------------
-// Threads.
+// Cell slots.
 // ---------------------------------------------------------------------------
 
-void
-Service::workerLoop()
+namespace {
+
+/** A cell gets five attempts on remote slots, then two on local ones;
+ *  a shed spends none. */
+constexpr int kRemoteAttempts = 5;
+constexpr int kLocalAttempts = 2;
+
+/** The jittered backoff schedule of every transient requeue. */
+constexpr double kBackoffBaseMs = 200.0;
+constexpr double kBackoffCapMs = 5000.0;
+constexpr double kJitterFrac = 0.25;
+
+/** A cell that used its remote attempts runs on a local slot only. */
+bool
+pinnedLocal(const CellTask &task)
+{
+    return task.remoteFailures >= kRemoteAttempts;
+}
+
+} // namespace
+
+std::size_t
+Service::cellsRunning() const
+{
+    std::size_t n = 0;
+    for (const auto &[tenant, count] : cellsInflight_)
+        n += count;
+    return n;
+}
+
+bool
+Service::popCell(CellTask &task, bool remote)
 {
     // Fairness at the dispatch point: cells are popped per tenant by
     // deficit-weighted round robin, a tenant at its concurrent-cell
@@ -1073,6 +1008,152 @@ Service::workerLoop()
         const auto it = cellsInflight_.find(tenant);
         return (it == cellsInflight_.end() ? 0 : it->second) < quota;
     };
+    const auto now = std::chrono::steady_clock::now();
+    bool fromPinned = false;
+    if (!remote && pool_ != nullptr) {
+        // A coordinator's local slots take the cells that used their
+        // remote attempts, and the rest only while no worker is alive.
+        const auto pinned = std::find_if(
+            backoff_.begin(), backoff_.end(), [&](const CellTask &t) {
+                return pinnedLocal(t) && t.notBefore <= now &&
+                       eligible(t.tenant);
+            });
+        if (pinned != backoff_.end()) {
+            task = std::move(*pinned);
+            backoff_.erase(pinned);
+            fromPinned = true;
+        } else if (pool_->anyAlive()) {
+            return false;
+        }
+    } else if (!remote && cellsRunning() >= std::max(1u, cfg_.workers)) {
+        return false;
+    }
+    if (!fromPinned) {
+        for (auto it = backoff_.begin(); it != backoff_.end();) {
+            if (it->notBefore > now || pinnedLocal(*it)) {
+                ++it;
+                continue;
+            }
+            cellSched_.push(it->tenant, it->prio, std::move(*it));
+            it = backoff_.erase(it);
+        }
+        if (!cellSched_.pop(task, nullptr, eligible))
+            return false;
+    }
+    const std::size_t depth = cellSched_.queuedFor(task.tenant);
+    const std::size_t threshold =
+        degradeThreshold(cfg_.degradeDepth, task.prio);
+    if (task.metrics == "full" && depth >= threshold) {
+        task.metrics = "summary";
+        ++task.job->counters.downgradedCells;
+        ++tenantStats_[task.tenant].degradedCells;
+        addEvent(*task.job,
+                 "congestion: cell " + task.cellId +
+                     " downgraded to --metrics=summary (tenant " +
+                     task.tenant + " backlog " + std::to_string(depth) +
+                     " >= " + std::to_string(threshold) + ")");
+    }
+    ++cellsInflight_[task.tenant];
+    ++tenantStats_[task.tenant].cellsDispatched;
+    if (!remote && pool_ != nullptr) {
+        ++task.job->counters.localFallbackCells;
+        addEvent(*task.job, "degraded: running cell " + task.cellId +
+                                " locally (" +
+                                (fromPinned ? "remote attempts used up"
+                                        : "worker pool unavailable") +
+                                ")");
+    }
+    return true;
+}
+
+void
+Service::finishCell(const CellTask &task, bool remote, FailureClass cls,
+                    const std::string &why, double retryAfterMs)
+{
+    Job &job = *task.job;
+    auto running = cellsInflight_.find(task.tenant);
+    if (running != cellsInflight_.end() && running->second > 0)
+        --running->second;
+    workCv_.notify_all(); // A quota slot freed; re-check lanes.
+    CellTask retry = task;
+    if (cls == FailureClass::Transient) {
+        ++retry.attempt;
+        retry.remoteFailures += remote ? 1 : 0;
+    }
+    if (cls == FailureClass::None) {
+        ++tenantStats_[task.tenant].cellsCompleted;
+        --job.outstanding;
+    } else if (cls == FailureClass::Shed ||
+               (cls == FailureClass::Transient &&
+                retry.attempt - retry.remoteFailures < kLocalAttempts)) {
+        // Requeue. A shed waits out the worker's hint and spends no
+        // attempt. A transient failure waits out the jittered backoff;
+        // the jitter is a function of the cell and attempt: replayable
+        // schedules in tests, and no global RNG coupling with the
+        // simulation. A cell out of remote attempts goes straight to a
+        // local slot, which has attempts of its own.
+        const bool pins = remote && pinnedLocal(retry);
+        double delay = 0.0;
+        if (cls == FailureClass::Shed && retryAfterMs > 0.0) {
+            delay = retryAfterMs;
+        } else if (!pins) {
+            const std::string key = job.id + "/" + task.cellId + "/" +
+                                    std::to_string(task.attempt);
+            std::seed_seq seed(key.begin(), key.end());
+            std::mt19937 rng(seed);
+            delay = backoffDelayMs(
+                kBackoffBaseMs, kBackoffCapMs, task.attempt, kJitterFrac,
+                std::uniform_real_distribution<double>(0.0, 1.0)(rng));
+        }
+        retry.notBefore =
+            std::chrono::steady_clock::now() +
+            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                std::chrono::duration<double, std::milli>(delay));
+        std::string note;
+        if (pins) {
+            note = "cell " + task.cellId + " used its " +
+                   std::to_string(kRemoteAttempts) +
+                   " remote attempts; re-queued for a local slot: " + why;
+        } else if (remote) {
+            ++job.counters.remoteRetries;
+            note = "requeued cell " + task.cellId + " (" +
+                   (cls == FailureClass::Shed
+                        ? std::string("shed")
+                        : "attempt " +
+                              std::to_string(retry.remoteFailures) + "/" +
+                              std::to_string(kRemoteAttempts)) +
+                   ", " + std::to_string(static_cast<int>(delay)) +
+                   "ms backoff): " + why;
+        } else {
+            // A timed-out full-metrics cell is downgraded so the retry
+            // fits the budget. The downgrade is honest: it lands in the
+            // event log and the counters, and the checkpoint carries
+            // whatever level actually ran.
+            ++job.counters.requeuedCells;
+            note = "cell " + task.cellId + " failed transiently; re-queued";
+            if (task.metrics == "full") {
+                retry.metrics = "summary";
+                ++job.counters.downgradedCells;
+                ++tenantStats_[task.tenant].degradedCells;
+                note += " with --metrics=summary";
+            }
+        }
+        addEvent(job, note);
+        backoff_.push_back(std::move(retry));
+    } else {
+        job.roundFailures.push_back("cell " + task.cellId + ": " + why);
+        if (job.roundWorstClass != FailureClass::Deterministic)
+            job.roundWorstClass = cls;
+        --job.outstanding;
+    }
+    journalJob(job);
+    if (job.outstanding == 0)
+        cv_.notify_all();
+}
+
+void
+Service::workerLoop()
+{
     for (;;) {
         CellTask task;
         {
@@ -1080,37 +1161,148 @@ Service::workerLoop()
             for (;;) {
                 if (draining_ && activeJobs_ == 0)
                     return;
-                if (cellSched_.pop(task, nullptr, eligible))
+                if (popCell(task, /*remote=*/false))
                     break;
-                // Quota-blocked lanes unblock on cell completion, which
-                // notifies workCv_; the timeout is only a backstop.
+                // Pushes and completions notify workCv_; the timeout is
+                // a backstop that also lets a due backoff rejoin its
+                // lane.
                 workCv_.wait_for(lock, std::chrono::milliseconds(200));
             }
-            const std::size_t depth = cellSched_.queuedFor(task.tenant);
-            const std::size_t threshold =
-                degradeThreshold(cfg_.degradeDepth, task.prio);
-            if (task.metrics == "full" && depth >= threshold) {
-                task.metrics = "summary";
-                ++task.job->counters.downgradedCells;
-                ++tenantStats_[task.tenant].degradedCells;
-                addEvent(*task.job,
-                         "congestion: cell " + task.cellId +
-                             " downgraded to --metrics=summary (tenant " +
-                             task.tenant + " backlog " +
-                             std::to_string(depth) + " >= " +
-                             std::to_string(threshold) + ")");
-            }
-            ++cellsInflight_[task.tenant];
-            ++tenantStats_[task.tenant].cellsDispatched;
         }
         runCell(task);
+    }
+}
+
+void
+Service::remoteSlot(std::size_t worker, int slot)
+{
+    const std::string self = pool_->addr(worker);
+    for (;;) {
+        CellTask task;
+        std::uint64_t lease = 0;
+        std::string victim;
+        Json request = Json::object();
+        double timeout = 0.0;
         {
-            const std::lock_guard<std::mutex> lock(mu_);
-            auto it = cellsInflight_.find(task.tenant);
-            if (it != cellsInflight_.end() && it->second > 0)
-                --it->second;
+            std::unique_lock<std::mutex> lock(mu_);
+            for (;;) {
+                if (draining_ && activeJobs_ == 0)
+                    return;
+                // The slot is its share of the worker's advertised
+                // capacity, claimed before a cell is taken.
+                if (pool_->slotOpen(worker, slot)) {
+                    if (popCell(task, /*remote=*/true)) {
+                        lease = pool_->lease(worker, task);
+                        break;
+                    }
+                    lease = pool_->steal(worker, task, victim);
+                    if (lease != 0)
+                        break;
+                }
+                // Lease ages, due backoffs and worker health change
+                // without a notify; the timeout covers them.
+                workCv_.wait_for(lock, std::chrono::milliseconds(200));
+            }
+            Job &job = *task.job;
+            if (!victim.empty()) {
+                ++job.counters.steals;
+                ++tenantStats_[task.tenant].stolenCells;
+                addEvent(job, "stole cell " + task.cellId + " (tenant " +
+                                  task.tenant + ") from worker " + victim +
+                                  " for " + self);
+                journalJob(job);
+                // Chaos: crash once the steal is on record but before
+                // its copy is dispatched, so the job is mid-flight by
+                // construction.
+                ++steals_;
+                for (const ChaosEvent &ev : chaos_)
+                    if (ev.kind == ChaosEvent::Kind::KillCoordinator &&
+                        ev.nth == steals_)
+                        ::kill(::getpid(), SIGKILL);
+            }
+            RequestSpec spec = job.spec;
+            spec.metrics = task.metrics;
+            timeout = cellTimeout(job.spec);
+            request.set("v", kProtocolVersion);
+            request.set("op", "run_cells");
+            request.set("job", job.id);
+            request.set("spec", spec.toJson());
+            request.set("cell", task.cellId);
+            if (timeout > 0.0)
+                request.set("cell_timeout_sec", timeout);
+            request.set("tenant", task.tenant);
         }
-        workCv_.notify_all(); // A quota slot freed; re-check lanes.
+        {
+            // Advertise held checkpoints as {name, hash} so the worker
+            // ships only content we genuinely lack (a stale same-name
+            // file must still be re-shipped).
+            Json have = Json::array();
+            const std::lock_guard<std::mutex> lk(mergeMu_);
+            for (const auto &[name, hash] :
+                 checkpointManifest(task.job->id)) {
+                Json h = Json::object();
+                h.set("name", name);
+                h.set("hash", hash);
+                have.push(std::move(h));
+            }
+            request.set("have", std::move(have));
+        }
+        const DispatchResult rpc = pool_->dispatch(worker, request, timeout);
+        FailureClass cls = FailureClass::None;
+        std::string why = rpc.error;
+        MergeVerdict verdict = MergeVerdict::Merged;
+        if (!rpc.ok) {
+            cls = rpc.deterministic ? FailureClass::Deterministic
+                  : rpc.shed        ? FailureClass::Shed
+                                    : FailureClass::Transient;
+        } else {
+            verdict = mergeRemote(task.job->id, rpc.files);
+            if (verdict == MergeVerdict::Divergent) {
+                cls = FailureClass::Deterministic;
+                why = "worker " + self +
+                      " returned a divergent checkpoint (exactly-once "
+                      "merge violated)";
+            } else if (verdict == MergeVerdict::Error) {
+                cls = FailureClass::Transient;
+                why = "publishing its checkpoints failed locally";
+            }
+        }
+        const bool decides =
+            pool_->release(lease, worker, cls == FailureClass::None);
+
+        const std::lock_guard<std::mutex> lock(mu_);
+        Job &job = *task.job;
+        if (rpc.workerLost) {
+            ++job.counters.workersLost;
+            addEvent(job, "worker " + self + " marked dead after " +
+                              std::to_string(
+                                  pool_->config().deadAfterFailures) +
+                              " consecutive failures; pool degraded");
+        }
+        if (cls == FailureClass::None &&
+            (verdict == MergeVerdict::Duplicate || !decides))
+            ++job.counters.duplicateCells;
+        if (decides) {
+            if (cls == FailureClass::None) {
+                // Counted and journaled the moment the checkpoint
+                // lands: a coordinator killed mid-round must not forget
+                // that remote workers did the work.
+                ++job.counters.remoteCells;
+                ++tenantStats_[task.tenant].remoteCells;
+            }
+            finishCell(task, /*remote=*/true, cls, why,
+                       rpc.retryAfterMs);
+        } else if (job.state == JobState::Running) {
+            // The other copy settles the cell; a divergent late copy
+            // still fails the round loudly.
+            if (verdict == MergeVerdict::Divergent) {
+                addEvent(job, "cell " + task.cellId + ": " + why);
+                job.roundFailures.push_back("cell " + task.cellId + ": " +
+                                            why);
+                job.roundWorstClass = FailureClass::Deterministic;
+            }
+            journalJob(job);
+        }
     }
 }
 
@@ -1472,9 +1664,12 @@ Service::handleRunCells(const Json &req)
     const std::string specErr = RequestSpec::fromJson(*specDoc, spec);
     if (!specErr.empty())
         return errorResponse(specErr, FailureClass::Deterministic);
+    // Cell ids come from outside this daemon: refuse what could not be
+    // a driver's cell id. A '/' is fine (cellLogName escapes it).
     const std::string cellId = req.str("cell");
-    if (cellId.empty() || cellId.find('/') != std::string::npos ||
-        cellId.find("..") != std::string::npos)
+    if (cellId.empty() || cellId.find("..") != std::string::npos ||
+        std::any_of(cellId.begin(), cellId.end(),
+                    [](unsigned char c) { return std::iscntrl(c); }))
         return errorResponse("run_cells with a missing or unsafe cell "
                              "id",
                              FailureClass::Deterministic);
@@ -1492,41 +1687,45 @@ Service::handleRunCells(const Json &req)
     const std::string tenant =
         effectiveTenant(req.str("tenant", spec.tenant));
 
-    // Admission: remote cells share the local worker-pool budget so a
-    // coordinator cannot oversubscribe this host; beyond it we shed and
-    // let the coordinator's backoff pace the retries, with a hint that
-    // scales with how oversubscribed this worker actually is.
+    // Admission: remote cells count in the daemon's one in-flight
+    // count, against its pool size and the tenant's max_cells quota, so
+    // local and remote cells together never oversubscribe this host
+    // and fair share holds here too. Beyond either we shed and let the
+    // coordinator's backoff pace the retries, with a hint that scales
+    // with how oversubscribed this worker actually is.
     {
         const std::lock_guard<std::mutex> lock(mu_);
-        if (draining_) {
+        const std::size_t running = cellsRunning();
+        const std::size_t quota =
+            tenants_.classFor(tenant).maxConcurrentCells;
+        std::string shed;
+        if (draining_)
+            shed = "worker is draining";
+        else if (running >= std::max(1u, cfg_.workers))
+            shed = "worker at capacity";
+        else if (quota != 0 && cellsInflight_[tenant] >= quota)
+            shed = "tenant '" + tenant + "' at its max_cells quota";
+        if (!shed.empty()) {
             ++tenantStats_[tenant].shedCells;
-            Json doc = errorResponse("worker is draining",
-                                     FailureClass::Shed);
+            Json doc = errorResponse(shed, FailureClass::Shed);
             doc.set("tenant", tenant);
-            doc.set("retry_after_ms", shedRetryHintMs(remoteInflight_));
+            doc.set("retry_after_ms", shedRetryHintMs(running));
             return doc;
         }
-        if (remoteInflight_ >=
-            static_cast<std::size_t>(std::max(1u, cfg_.workers))) {
-            ++tenantStats_[tenant].shedCells;
-            Json doc = errorResponse("worker at capacity",
-                                     FailureClass::Shed);
-            doc.set("tenant", tenant);
-            doc.set("retry_after_ms", shedRetryHintMs(remoteInflight_));
-            return doc;
-        }
-        ++remoteInflight_;
+        ++cellsInflight_[tenant];
         ++tenantStats_[tenant].cellsDispatched;
     }
     struct Admission
     {
         Service *s;
+        const std::string &tenant;
         ~Admission()
         {
             const std::lock_guard<std::mutex> lock(s->mu_);
-            --s->remoteInflight_;
+            --s->cellsInflight_[tenant];
+            s->workCv_.notify_all();
         }
-    } admission{this};
+    } admission{this, tenant};
 
     const std::string id = spec.jobId();
     std::error_code ec;
@@ -1541,7 +1740,8 @@ Service::handleRunCells(const Json &req)
         return errorResponse(lockErr, FailureClass::Transient);
 
     ChildSpec cspec = driverChild(spec, id, spec.metrics,
-                                  logDir(id) + "/" + cellId + ".remote");
+                                  logDir(id) + "/" + cellLogName(cellId) +
+                                      ".remote");
     cspec.argv.push_back("--only-cells=" + cellId);
     ChaosHook hook{&chaos_, &mu_, &cellSpawns_, nullptr};
     const ChildOutcome outcome =
@@ -1849,8 +2049,6 @@ Service::run(std::string &err)
         for (const auto &ev : chaos_) {
             if (ev.kind == ChaosEvent::Kind::DropConn)
                 drops.push_back(ev.nth);
-            if (ev.kind == ChaosEvent::Kind::KillCoordinator)
-                pool_->injectKillAfterSteal(ev.nth);
         }
         if (!drops.empty())
             pool_->injectConnDrops(drops);
@@ -1864,6 +2062,10 @@ Service::run(std::string &err)
 
     for (unsigned i = 0; i < std::max(1u, cfg_.workers); ++i)
         workers_.emplace_back(&Service::workerLoop, this);
+    if (pool_ != nullptr)
+        for (std::size_t w = 0; w < pool_->size(); ++w)
+            for (int s = 0; s < pool_->config().maxSlotsPerWorker; ++s)
+                workers_.emplace_back(&Service::remoteSlot, this, w, s);
     std::thread scheduler(&Service::schedulerLoop, this);
 
     std::fprintf(stderr, "mapsd: listening on %s (%u workers)\n",
@@ -1874,7 +2076,7 @@ Service::run(std::string &err)
     scheduler.join();
     {
         // Wake any coordinator waiting for cells that will never run —
-        // there are none: workers only exit once activeJobs_ == 0.
+        // there are none: slots only exit once activeJobs_ == 0.
         const std::lock_guard<std::mutex> lock(mu_);
         workCv_.notify_all();
     }

@@ -112,6 +112,11 @@ struct ChaosEvent
 std::string parseChaosSpec(const std::string &spec,
                            std::vector<ChaosEvent> &out);
 
+/** A cell id as one file-name component for its logs: '%' and '/' are
+ *  percent-escaped, so `canneal/16KB` logs beside its job's other
+ *  cells and distinct ids never share a file. */
+std::string cellLogName(const std::string &cellId);
+
 /**
  * A canonicalized experiment request. The job id is a stable hash of
  * the canonical form, so resubmitting the same request attaches to the
@@ -204,7 +209,7 @@ struct Job
      */
     runner::DirLock ckLock;
 
-    // Coordinator-round bookkeeping (guarded by the service mutex).
+    // Round bookkeeping (guarded by the service mutex).
     std::size_t outstanding = 0;
     std::vector<std::string> roundFailures;
     FailureClass roundWorstClass = FailureClass::None;
@@ -275,16 +280,6 @@ class Service
     std::size_t residentJobs() const;
 
   private:
-    struct CellTask
-    {
-        std::shared_ptr<Job> job;
-        std::string cellId;
-        std::string metrics; ///< Effective level for this attempt.
-        int attempt = 0;
-        std::string tenant;  ///< Effective tenant (never "").
-        TenantPriority prio = TenantPriority::Normal;
-    };
-
     // Startup / recovery.
     std::string recoverJobs();
     /** SIGHUP: re-read cfg_.tenantsPath; a parse error keeps the old
@@ -301,21 +296,45 @@ class Service
     void acceptLoop(int unixFd, int tcpFd);
     void serveConnection(int fd, bool tcp);
     void schedulerLoop();
-    void workerLoop();
+    /** The list->run fixpoint of one job: every round pushes its
+     *  pending cells to cellSched_ and waits for them to finish. */
     void coordinate(std::shared_ptr<Job> job);
 
-    // Multi-node: one remote list->run round. Returns false with
-    // @p err / @p cls when the round failed (transient failures leave
-    // the job alive for a local-fallback or journaled retry).
-    bool runRemoteRound(const std::shared_ptr<Job> &job,
-                        const std::vector<std::string> &pending,
-                        std::string &err, FailureClass &cls);
+    // Cell slots. A local slot runs cells as children of this daemon; a
+    // remote slot (coordinator only) is one slot of one worker daemon.
+    // Both take cells through popCell and end them through finishCell.
+    void workerLoop();
+    void remoteSlot(std::size_t worker, int slot);
+    /** mu_ held. The one pop: ripe backoffs rejoin their lanes, then
+     *  DRR over the tenant lanes skips tenants at their max_cells
+     *  quota, and the congestion downgrade applies. A local slot takes
+     *  cells only within this host's capacity and, on a coordinator,
+     *  only cells out of remote attempts or while no worker is
+     *  alive. */
+    bool popCell(CellTask &task, bool remote);
+    /** mu_ held. The one completion: success settles the cell; a shed
+     *  requeues it after the worker's @p retryAfterMs hint; a transient
+     *  failure requeues it with backoff, on a local slot once its remote
+     *  attempts are used up, while its local attempts last; anything
+     *  else fails the job's round. */
+    void finishCell(const CellTask &task, bool remote, FailureClass cls,
+                    const std::string &why, double retryAfterMs = 0.0);
+    /** mu_ held. Cells in flight across tenants. */
+    std::size_t cellsRunning() const;
+
+    // Exactly-once checkpoint exchange (coordinator and worker sides).
     std::vector<std::string>
     checkpointBasenames(const std::string &jobId) const;
     /** (basename, content-hash) pairs for the merged checkpoints — the
      *  coordinator's "have" advertisement (see ckcache.hpp). */
     std::vector<std::pair<std::string, std::string>>
     checkpointManifest(const std::string &jobId) const;
+    /** Publish a remote cell's checkpoint files atomically; a file that
+     *  already landed must be byte-identical (Duplicate), else the
+     *  worker diverged. */
+    MergeVerdict mergeRemote(
+        const std::string &jobId,
+        const std::vector<std::pair<std::string, std::string>> &files);
 
     // Request handlers (return the response document).
     Json handleRequest(const Json &req);
@@ -373,16 +392,21 @@ class Service
     TenantConfig tenants_; ///< Reloaded in place on SIGHUP (under mu_).
     DrrScheduler<std::shared_ptr<Job>> jobSched_{&tenants_};
     DrrScheduler<CellTask> cellSched_{&tenants_};
+    /** Requeued cells not yet due, and cells out of remote attempts
+     *  waiting for a local slot. */
+    std::vector<CellTask> backoff_;
     std::map<std::string, TenantStats> tenantStats_;
-    std::map<std::string, std::size_t> cellsInflight_; ///< Local cells.
+    /** Cells in flight per tenant, on every slot kind; a worker counts
+     *  its run_cells admissions here too. */
+    std::map<std::string, std::size_t> cellsInflight_;
     std::map<std::string, std::size_t> activeJobsByTenant_;
     std::size_t activeJobs_ = 0;
     std::uint64_t cellSpawns_ = 0; ///< Chaos trigger ordinal.
-    std::size_t remoteInflight_ = 0; ///< run_cells admissions in flight.
+    std::uint64_t steals_ = 0;     ///< kill:coordinator ordinal.
     std::mutex mergeMu_;  ///< Serializes checkpoint merges per daemon.
     bool draining_ = false;
 
-    std::vector<std::thread> workers_;
+    std::vector<std::thread> workers_; ///< Local and remote slots.
     std::vector<std::thread> threads_; ///< Coordinators and connections.
     std::vector<std::thread::id> exitedThreads_;
 };

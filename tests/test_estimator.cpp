@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -276,9 +277,18 @@ TEST(EstimatorResumeDeathTest, ManifestRefusesMixedEstimatorModes)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     namespace fs = std::filesystem;
-    const auto dir = fs::temp_directory_path() /
-                     ("maps_estimator_manifest_" +
-                      std::to_string(::getpid()));
+    // The threadsafe death-test child re-runs this body under its own
+    // pid and dies inside EXPECT_DEATH, so the directory is named by the
+    // parent's pid, handed down through the environment: the child
+    // reuses it and the parent's closing remove_all covers both.
+    constexpr const char *kDirVar = "MAPS_ESTIMATOR_MANIFEST_DIR";
+    if (::getenv(kDirVar) == nullptr) {
+        const auto own = fs::temp_directory_path() /
+                         ("maps_estimator_manifest_" +
+                          std::to_string(::getpid()));
+        ::setenv(kDirVar, own.c_str(), 1);
+    }
+    const fs::path dir = ::getenv(kDirVar);
     fs::remove_all(dir);
 
     const auto make_cells = [] {
@@ -308,6 +318,7 @@ TEST(EstimatorResumeDeathTest, ManifestRefusesMixedEstimatorModes)
     runner::Options same = opts;
     runner::ExperimentRunner(same).run(make_cells(), "phase");
     fs::remove_all(dir);
+    ::unsetenv(kDirVar);
 }
 
 } // namespace

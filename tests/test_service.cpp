@@ -8,11 +8,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1452,13 +1456,18 @@ TEST(ServiceCkCache, IndexPersistsAcrossInstances)
 
 namespace {
 
-/** An in-process mapsd over a fake driver script, stopped on scope
- *  exit. The script lists a complete one-line grid after a short
- *  sleep, or fails (exit 3) while a `fail` file sits beside it. */
+/** An in-process mapsd over fake driver scripts, stopped on scope
+ *  exit. `fake_driver` lists a complete one-line grid after a short
+ *  sleep, or fails (exit 3) while a `fail` file sits beside it; see
+ *  writeGridDriver for `grid_driver`. @p name keys the socket and
+ *  state dir, so several daemons can share one drivers dir; @p tweak
+ *  edits the config before the daemon starts. */
 class FakeDaemon
 {
   public:
-    explicit FakeDaemon(const fs::path &dir)
+    explicit FakeDaemon(
+        const fs::path &dir, const std::string &name = "mapsd",
+        const std::function<void(ServiceConfig &)> &tweak = nullptr)
     {
         fs::create_directories(dir / "drivers");
         const fs::path driver = dir / "drivers" / "fake_driver";
@@ -1474,11 +1483,14 @@ class FakeDaemon
         fs::permissions(driver, fs::perms::owner_all);
         failFlag_ = dir / "drivers" / "fail";
         ServiceConfig cfg;
-        cfg.socketPath = (dir / "mapsd.sock").string();
-        cfg.stateDir = (dir / "state").string();
+        cfg.socketPath = (dir / (name + ".sock")).string();
+        cfg.stateDir = (dir / (name == "mapsd" ? "state" : name)).string();
         cfg.driversDir = (dir / "drivers").string();
         cfg.workers = 1;
+        if (tweak)
+            tweak(cfg);
         socket_ = cfg.socketPath;
+        stateDir_ = cfg.stateDir;
         service_ = std::make_unique<Service>(cfg);
         thread_ = std::thread([this] {
             std::string err;
@@ -1497,6 +1509,17 @@ class FakeDaemon
     FakeDaemon &operator=(const FakeDaemon &) = delete;
 
     Service &service() { return *service_; }
+    const std::string &stateDir() const { return stateDir_; }
+    /** The TCP address a --listen-tcp daemon published. */
+    std::string
+    tcpAddr() const
+    {
+        std::string text, err;
+        readWholeFile(stateDir_ + "/tcp.port", text, err);
+        while (!text.empty() && text.back() == '\n')
+            text.pop_back();
+        return text;
+    }
     void setFailing(bool fail)
     {
         if (fail)
@@ -1541,6 +1564,7 @@ class FakeDaemon
     }
 
     std::string socket_;
+    std::string stateDir_;
     fs::path failFlag_;
     std::unique_ptr<Service> service_;
     std::thread thread_;
@@ -1621,6 +1645,519 @@ TEST(ServiceJobs, FinishedJobsLeaveMemory)
             daemon.rpc(FakeDaemon::request("status", "../jobs/x")).str(
                 "error"),
             "unknown job '../jobs/x'");
+    }
+    fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// One cell-dispatch path: cell ids with '/', and a coordinator whose
+// remote slots share the tenant scheduler with its local ones.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/**
+ * `grid_driver --tag=T --cells=N` lists the cells `T-c0` … `T-cN-1` and,
+ * once every checkpoint is in, assembles them in id order. Each
+ * `--only-cells` run appends "start T ID" and "end T ID" to
+ * `dispatch.log` beside the script (so tests read dispatch order, not
+ * timing), prints "ran ID" on stdout and stderr, and waits while a
+ * `hold` file sits beside it.
+ */
+void
+writeGridDriver(const fs::path &dir)
+{
+    fs::create_directories(dir / "drivers");
+    const fs::path driver = dir / "drivers" / "grid_driver";
+    std::ofstream(driver)
+        << "#!/bin/sh\n"
+           "d=$(dirname \"$0\")\n"
+           "for a in \"$@\"; do case \"$a\" in\n"
+           "  --out=*) out=\"${a#--out=}\";;\n"
+           "  --resume=*) ck=\"${a#--resume=}\";;\n"
+           "  --only-cells=*) cell=\"${a#--only-cells=}\";;\n"
+           "  --cells=*) n=\"${a#--cells=}\";;\n"
+           "  --tag=*) tag=\"${a#--tag=}\";;\n"
+           "  --sleep=*) nap=\"${a#--sleep=}\";;\n"
+           "  --pad=*) pad=\"${a#--pad=}\";;\n"
+           "esac; done\n"
+           "if [ -n \"$cell\" ]; then\n"
+           "  echo \"start $tag $cell\" >> \"$d/dispatch.log\"\n"
+           "  echo \"ran $cell\"; echo \"ran $cell\" >&2\n"
+           "  while [ -f \"$d/hold\" ]; do sleep 0.01; done\n"
+           "  sleep ${nap:-0.05}\n"
+           "  f=\"$ck/$(echo \"$cell\" | tr / _).cell\"\n"
+           "  { echo \"$cell\"; head -c \"${pad:-0}\" /dev/zero; } > \"$f\"\n"
+           "  echo \"end $tag $cell\" >> \"$d/dispatch.log\"\n"
+           "  exit 0\n"
+           "fi\n"
+           "i=0; missing=0\n"
+           "while [ $i -lt $n ]; do\n"
+           "  id=\"$tag-c$i\"\n"
+           "  st=cached\n"
+           "  [ -f \"$ck/$(echo \"$id\" | tr / _).cell\" ] || "
+           "{ st=pending; missing=1; }\n"
+           "  printf 'cell\\tp\\t%s\\t%s\\n' \"$id\" \"$st\"\n"
+           "  i=$((i+1))\n"
+           "done\n"
+           "if [ $missing = 0 ]; then "
+           "for f in \"$ck\"/*.cell; do head -n1 \"$f\"; done > \"$out\"; "
+           "echo 'list-end complete'; else echo 'list-end incomplete'; fi\n";
+    fs::permissions(driver, fs::perms::owner_all);
+}
+
+RequestSpec
+gridSpec(const std::string &tag, int cells, const std::string &tenant = "",
+         const std::string &extra = "")
+{
+    RequestSpec spec;
+    spec.driver = "grid_driver";
+    spec.args = {"--tag=" + tag, "--cells=" + std::to_string(cells)};
+    if (!extra.empty())
+        spec.args.push_back(extra);
+    spec.tenant = tenant;
+    return spec;
+}
+
+/** What a finished grid job's result must read. */
+std::string
+gridResult(const std::string &tag, int cells)
+{
+    std::vector<std::string> ids;
+    for (int i = 0; i < cells; ++i)
+        ids.push_back(tag + "-c" + std::to_string(i));
+    std::sort(ids.begin(), ids.end(), [](const auto &a, const auto &b) {
+        // The checkpoint files sort by name, with '/' written as '_'.
+        std::string x = a, y = b;
+        std::replace(x.begin(), x.end(), '/', '_');
+        std::replace(y.begin(), y.end(), '/', '_');
+        return x < y;
+    });
+    std::string out;
+    for (const auto &id : ids)
+        out += id + "\n";
+    return out;
+}
+
+/** The dispatch log's lines, split on spaces: {"start"|"end", tag, id}. */
+std::vector<std::vector<std::string>>
+dispatchLog(const fs::path &dir)
+{
+    std::vector<std::vector<std::string>> lines;
+    std::ifstream in(dir / "drivers" / "dispatch.log");
+    std::string line;
+    while (std::getline(in, line)) {
+        std::vector<std::string> words;
+        std::istringstream ws(line);
+        for (std::string w; ws >> w;)
+            words.push_back(w);
+        lines.push_back(words);
+    }
+    return lines;
+}
+
+std::size_t
+dispatchStarts(const fs::path &dir)
+{
+    std::size_t n = 0;
+    for (const auto &l : dispatchLog(dir))
+        n += l[0] == "start";
+    return n;
+}
+
+/** Poll @p pred every 10 ms for up to @p ms. */
+template <typename Pred>
+bool
+waitFor(Pred pred, int ms = 20000)
+{
+    for (int waited = 0; waited < ms; waited += 10) {
+        if (pred())
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return pred();
+}
+
+/** A coordinator over two single-slot TCP workers, all in-process and
+ *  sharing one drivers dir (and so one dispatch log). The coordinator
+ *  has one local slot, used only while no worker is alive. */
+struct FakeCluster
+{
+    explicit FakeCluster(const fs::path &dir, const std::string &tenants = "")
+    {
+        writeGridDriver(dir);
+        const auto worker = [](ServiceConfig &cfg) {
+            cfg.tcpListen = "127.0.0.1:0";
+        };
+        w0 = std::make_unique<FakeDaemon>(dir, "w0", worker);
+        w1 = std::make_unique<FakeDaemon>(dir, "w1", worker);
+        std::string err;
+        if (!tenants.empty()) {
+            EXPECT_TRUE(atomicWriteFile((dir / "tenants.conf").string(),
+                                        tenants, err))
+                << err;
+        }
+        coord = std::make_unique<FakeDaemon>(
+            dir, "coord", [&](ServiceConfig &cfg) {
+                cfg.workerAddrs = {w0->tcpAddr(), w1->tcpAddr()};
+                if (!tenants.empty())
+                    cfg.tenantsPath = (dir / "tenants.conf").string();
+            });
+    }
+    ~FakeCluster()
+    {
+        coord.reset();
+        w1.reset();
+        w0.reset();
+    }
+
+    Json
+    wait(const std::string &job)
+    {
+        return coord->rpc(FakeDaemon::request("wait", job));
+    }
+    /** The coordinator's maps-tenants-v1 row for @p tenant. */
+    Json
+    tenantRow(const std::string &tenant)
+    {
+        const Json view = coord->rpc(FakeDaemon::request("tenants"));
+        if (const Json *rows = view.get("tenants")) {
+            for (const Json &row : rows->items())
+                if (row.str("tenant") == tenant)
+                    return row;
+        }
+        return Json();
+    }
+
+    std::unique_ptr<FakeDaemon> w0, w1, coord;
+};
+
+std::string
+joinedEvents(const Json &snapshot)
+{
+    std::string all;
+    if (const Json *evs = snapshot.get("events"))
+        for (const Json &e : evs->items())
+            all += e.asString() + "\n";
+    return all;
+}
+
+} // namespace
+
+TEST(ServiceCells, LogNameIsOneEscapedComponent)
+{
+    EXPECT_EQ(cellLogName("fig4/cell"), "fig4%2Fcell");
+    EXPECT_EQ(cellLogName("canneal/16KB/lru"), "canneal%2F16KB%2Flru");
+    EXPECT_EQ(cellLogName("plain-id_1"), "plain-id_1");
+    EXPECT_NE(cellLogName("a/b"), cellLogName("a%2Fb"))
+        << "escaping is injective";
+    EXPECT_EQ(cellLogName("a%2Fb"), "a%252Fb");
+}
+
+TEST(ServiceCells, LocalSlashCellGetsItsOwnLogs)
+{
+    const auto dir = tempDir("slash_logs");
+    {
+        writeGridDriver(dir);
+        FakeDaemon daemon(dir);
+        const RequestSpec spec = gridSpec("a/b", 1);
+        const std::string id = daemon.submit(spec).str("job");
+        const Json done = daemon.rpc(FakeDaemon::request("wait", id));
+        ASSERT_EQ(done.str("state"), "done") << done.dump();
+        EXPECT_EQ(done.str("result"), gridResult("a/b", 1));
+        const fs::path logs = fs::path(daemon.stateDir()) / "logs" / id;
+        std::string out, err, ferr;
+        EXPECT_TRUE(readWholeFile((logs / "a%2Fb-c0.a0.out").string(),
+                                  out, ferr))
+            << ferr;
+        EXPECT_TRUE(readWholeFile((logs / "a%2Fb-c0.a0.err").string(),
+                                  err, ferr))
+            << ferr;
+        EXPECT_EQ(out, "ran a/b-c0\n");
+        EXPECT_EQ(err, "ran a/b-c0\n");
+    }
+    fs::remove_all(dir);
+}
+
+TEST(ServiceCoordinator, RunsCellIdsWithSlashesRemotely)
+{
+    const auto dir = tempDir("coord_slash");
+    {
+        FakeCluster cluster(dir);
+        const std::string id =
+            cluster.coord->submit(gridSpec("fig/x", 4)).str("job");
+        const Json done = cluster.wait(id);
+        ASSERT_EQ(done.str("state"), "done") << done.dump();
+        EXPECT_EQ(done.str("result"), gridResult("fig/x", 4));
+        const Json *res = done.get("resilience");
+        ASSERT_NE(res, nullptr);
+        EXPECT_EQ(res->num("remote_cells"), 4);
+        EXPECT_EQ(res->num("local_fallback_cells"), 0);
+    }
+    fs::remove_all(dir);
+}
+
+TEST(ServiceCoordinator, UndisturbedJobNeverOversubscribesWorkers)
+{
+    const auto dir = tempDir("coord_capacity");
+    {
+        FakeCluster cluster(dir);
+        const std::string id =
+            cluster.coord->submit(gridSpec("u", 12, "", "--pad=2000000"))
+                .str("job");
+        const Json done = cluster.wait(id);
+        ASSERT_EQ(done.str("state"), "done") << done.dump();
+        const Json *res = done.get("resilience");
+        ASSERT_NE(res, nullptr);
+        EXPECT_EQ(res->num("remote_retries"), 0) << done.dump();
+        EXPECT_EQ(res->num("remote_cells"), 12);
+        EXPECT_EQ(joinedEvents(done).find("at capacity"),
+                  std::string::npos)
+            << joinedEvents(done);
+        EXPECT_EQ(dispatchStarts(dir), 12u) << "one run per cell";
+    }
+    fs::remove_all(dir);
+}
+
+TEST(ServiceCoordinator, RemoteDispatchFollowsTenantWeights)
+{
+    const auto dir = tempDir("coord_weights");
+    {
+        FakeCluster cluster(dir, "tenant heavy weight=3\n"
+                                 "tenant light weight=1\n");
+        // Hold the first two cells on the workers until both backlogs
+        // are queued; from then on the dispatch order is the DRR's.
+        // The hold goes before the cluster drains, whatever fails.
+        struct Hold
+        {
+            fs::path path;
+            ~Hold() { fs::remove(path); }
+        } hold{dir / "drivers" / "hold"};
+        std::ofstream(hold.path) << "1";
+        const std::string heavy =
+            cluster.coord->submit(gridSpec("h", 14, "heavy")).str("job");
+        ASSERT_TRUE(waitFor([&] { return dispatchStarts(dir) == 2; }));
+        const std::string light =
+            cluster.coord->submit(gridSpec("l", 14, "light")).str("job");
+        ASSERT_TRUE(waitFor([&] {
+            return cluster.tenantRow("light").num("queued_cells") == 14;
+        }));
+        fs::remove(hold.path);
+        EXPECT_EQ(cluster.wait(heavy).str("state"), "done");
+        EXPECT_EQ(cluster.wait(light).str("state"), "done");
+
+        std::size_t heavyStarts = 0, starts = 0;
+        for (const auto &l : dispatchLog(dir)) {
+            if (l[0] != "start" || starts == 16)
+                continue;
+            ++starts;
+            heavyStarts += l[1] == "h";
+        }
+        ASSERT_EQ(starts, 16u);
+        EXPECT_GE(heavyStarts, 11u) << "weights 3:1 over 16 dispatches";
+        EXPECT_LE(heavyStarts, 13u) << "weights 3:1 over 16 dispatches";
+    }
+    fs::remove_all(dir);
+}
+
+TEST(ServiceCoordinator, MaxCellsQuotaHoldsOnRemoteSlots)
+{
+    const auto dir = tempDir("coord_quota");
+    {
+        FakeCluster cluster(dir, "tenant solo weight=1 max_cells=1\n");
+        const std::string id =
+            cluster.coord->submit(gridSpec("s", 6, "solo")).str("job");
+        ASSERT_EQ(cluster.wait(id).str("state"), "done");
+        int running = 0, peak = 0;
+        for (const auto &l : dispatchLog(dir)) {
+            running += l[0] == "start" ? 1 : -1;
+            peak = std::max(peak, running);
+        }
+        EXPECT_EQ(peak, 1) << "max_cells=1 on two free worker slots";
+        EXPECT_EQ(dispatchStarts(dir), 6u);
+    }
+    fs::remove_all(dir);
+}
+
+namespace {
+
+/** A scripted TCP worker: answers ping with a one-slot pong and the
+ *  Nth run_cells with replies[min(N, size) - 1]. */
+class ScriptedWorker
+{
+  public:
+    explicit ScriptedWorker(std::vector<Json> replies)
+        : replies_(std::move(replies))
+    {
+        std::string err;
+        fd_ = listenTcp("127.0.0.1:0", err, &addr_);
+        EXPECT_GE(fd_, 0) << err;
+        thread_ = std::thread([this] { serve(); });
+    }
+    ~ScriptedWorker()
+    {
+        stop_ = true;
+        ::shutdown(fd_, SHUT_RDWR);
+        thread_.join();
+        ::close(fd_);
+    }
+    const std::string &addr() const { return addr_; }
+    std::size_t runCells() const { return runCells_; }
+
+  private:
+    void
+    serve()
+    {
+        while (!stop_) {
+            const int conn = ::accept(fd_, nullptr, nullptr);
+            if (conn < 0)
+                continue;
+            std::string payload, err;
+            while (readFrame(conn, payload, err, 2000)) {
+                const Json req = parseOk(payload);
+                Json reply = Json::object();
+                reply.set("v", kProtocolVersion);
+                reply.set("ok", true);
+                reply.set("workers", 1);
+                if (req.str("op") == "run_cells")
+                    reply = replies_[std::min(++runCells_,
+                                              replies_.size()) -
+                                     1];
+                if (!writeFrame(conn, reply.dump(), err))
+                    break;
+            }
+            ::close(conn);
+        }
+    }
+
+    std::vector<Json> replies_;
+    int fd_ = -1;
+    std::string addr_;
+    std::atomic<bool> stop_{false};
+    std::atomic<std::size_t> runCells_{0};
+    std::thread thread_;
+};
+
+Json
+refusal(const std::string &cls, const std::string &error)
+{
+    Json doc = Json::object();
+    doc.set("v", kProtocolVersion);
+    doc.set("ok", false);
+    doc.set("error", error);
+    doc.set("class", cls);
+    if (cls == "shed")
+        doc.set("retry_after_ms", 200);
+    return doc;
+}
+
+} // namespace
+
+TEST(ServiceCoordinator, ShedsAndRefusalsLeaveTheWorkerUp)
+{
+    const auto dir = tempDir("coord_sheds");
+    {
+        const Json shed = refusal("shed", "worker at capacity");
+        ScriptedWorker worker({shed, shed, shed,
+                               refusal("deterministic", "scripted refusal")});
+        writeGridDriver(dir);
+        FakeDaemon coord(dir, "coord", [&](ServiceConfig &cfg) {
+            cfg.workerAddrs = {worker.addr()};
+        });
+        const std::string id = coord.submit(gridSpec("x", 1)).str("job");
+        const Json done = coord.rpc(FakeDaemon::request("wait", id));
+        EXPECT_EQ(done.str("state"), "failed") << done.dump();
+        EXPECT_EQ(done.str("class"), "deterministic");
+        EXPECT_NE(done.str("error").find("scripted refusal"),
+                  std::string::npos)
+            << done.dump();
+        EXPECT_EQ(worker.runCells(), 4u) << "three sheds, then the refusal";
+        const Json *res = done.get("resilience");
+        ASSERT_NE(res, nullptr);
+        EXPECT_EQ(res->num("remote_retries"), 3);
+        EXPECT_EQ(res->num("workers_lost"), 0);
+        EXPECT_EQ(res->num("local_fallback_cells"), 0);
+
+        const Json view = coord.rpc(FakeDaemon::request("workers"));
+        const Json *rows = view.get("workers");
+        ASSERT_TRUE(rows != nullptr && rows->items().size() == 1)
+            << view.dump();
+        const Json &row = rows->items()[0];
+        EXPECT_EQ(row.str("state"), "up") << view.dump();
+        EXPECT_EQ(row.num("consec_failures"), 0);
+    }
+    fs::remove_all(dir);
+}
+
+TEST(ServiceCoordinator, ShedsSpendNoAttempts)
+{
+    const auto dir = tempDir("coord_busy");
+    {
+        writeGridDriver(dir);
+        FakeDaemon worker(dir, "w0", [](ServiceConfig &cfg) {
+            cfg.tcpListen = "127.0.0.1:0";
+        });
+        FakeDaemon coord(dir, "coord", [&](ServiceConfig &cfg) {
+            cfg.workerAddrs = {worker.tcpAddr()};
+        });
+        struct Hold
+        {
+            fs::path path;
+            ~Hold() { fs::remove(path); }
+        } hold{dir / "drivers" / "hold"};
+        // The worker's one slot runs a local job of its own until the
+        // coordinator's cell has been shed more times than a cell has
+        // remote attempts.
+        std::ofstream(hold.path) << "1";
+        const std::string local =
+            worker.submit(gridSpec("busy", 1)).str("job");
+        ASSERT_TRUE(waitFor([&] { return dispatchStarts(dir) == 1; }));
+        const std::string id = coord.submit(gridSpec("c", 1)).str("job");
+        EXPECT_TRUE(waitFor([&] {
+            const Json status = coord.rpc(FakeDaemon::request("status", id));
+            const Json *res = status.get("resilience");
+            return res != nullptr && res->num("remote_retries") >= 6;
+        })) << "six sheds";
+        fs::remove(hold.path);
+        EXPECT_EQ(worker.rpc(FakeDaemon::request("wait", local)).str("state"),
+                  "done");
+        const Json done = coord.rpc(FakeDaemon::request("wait", id));
+        ASSERT_EQ(done.str("state"), "done") << done.dump();
+        EXPECT_EQ(done.str("result"), gridResult("c", 1));
+        const Json *res = done.get("resilience");
+        ASSERT_NE(res, nullptr);
+        EXPECT_EQ(res->num("remote_cells"), 1);
+        EXPECT_EQ(res->num("local_fallback_cells"), 0);
+        EXPECT_EQ(res->num("workers_lost"), 0);
+        EXPECT_NE(joinedEvents(done).find("at capacity"), std::string::npos)
+            << joinedEvents(done);
+    }
+    fs::remove_all(dir);
+}
+
+TEST(ServiceCoordinator, CellOutOfRemoteAttemptsRunsLocally)
+{
+    const auto dir = tempDir("coord_fallback");
+    {
+        ScriptedWorker worker({refusal("transient", "scripted hiccup")});
+        writeGridDriver(dir);
+        FakeDaemon coord(dir, "coord", [&](ServiceConfig &cfg) {
+            cfg.workerAddrs = {worker.addr()};
+        });
+        const std::string id = coord.submit(gridSpec("x", 1)).str("job");
+        const Json done = coord.rpc(FakeDaemon::request("wait", id));
+        ASSERT_EQ(done.str("state"), "done") << done.dump();
+        EXPECT_EQ(done.str("result"), gridResult("x", 1));
+        EXPECT_EQ(worker.runCells(), 5u) << "five remote attempts";
+        const Json *res = done.get("resilience");
+        ASSERT_NE(res, nullptr);
+        EXPECT_EQ(res->num("remote_retries"), 4);
+        EXPECT_EQ(res->num("remote_cells"), 0);
+        EXPECT_EQ(res->num("local_fallback_cells"), 1);
+        EXPECT_EQ(res->num("workers_lost"), 0);
+        EXPECT_NE(joinedEvents(done).find("remote attempts used up"),
+                  std::string::npos)
+            << joinedEvents(done);
     }
     fs::remove_all(dir);
 }
