@@ -2,10 +2,10 @@
 
 #include <chrono>
 #include <cmath>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
+#include <utility>
+#include <vector>
 
 #include "analysis/metadata_model.hpp"
 #include "core/runner.hpp"
@@ -36,26 +36,6 @@ roundCount(double value)
     return value <= 0.0
                ? 0
                : static_cast<std::uint64_t>(std::llround(value));
-}
-
-/**
- * One profile + one anchor simulation per reference stream, shared by
- * every cell that sweeps hierarchy/metadata-cache knobs over it.
- * Identified by everything that changes the stream or the anchor's
- * timing: never by the swept knobs themselves.
- */
-std::string
-streamKey(const SimConfig &cfg)
-{
-    std::ostringstream key;
-    key << cfg.benchmark << '|' << cfg.seed << '|' << cfg.skipRefs
-        << '|' << cfg.warmupRefs << '|' << cfg.measureRefs << '|'
-        << cfg.secure.layout.protectedBytes << '|'
-        << static_cast<int>(cfg.secure.layout.counterMode) << '|'
-        << cfg.secure.layout.treeArity << '|' << (cfg.useDram ? 1 : 0)
-        << '|' << cfg.fixedLatencyCycles << '|'
-        << cfg.secure.hashLatency << '|' << cfg.secure.aesLatency;
-    return key.str();
 }
 
 /**
@@ -98,44 +78,52 @@ evalConfig(const SimConfig &cfg)
     return eval;
 }
 
+/**
+ * One profile + one anchor simulation per reference stream, shared by
+ * every cell that sweeps hierarchy/metadata-cache knobs over it. Keyed
+ * by the whole anchor configuration, so cells share an entry exactly
+ * when they differ only in the knobs anchorConfig resets.
+ */
 struct Entry
 {
+    explicit Entry(SimConfig anchor) : anchorCfg(std::move(anchor)) {}
+
+    const SimConfig anchorCfg;
     std::once_flag once;
     analysis::StreamProfile profile;
     RunReport anchor;
     analysis::AnalyticCounts pivotRaw;
     std::uint64_t pivotLlcBytes = 0;
     std::uint64_t pivotMdBytes = 0;
-    bool ready = false;
 };
 
 std::mutex g_cacheMutex;
-std::map<std::string, std::shared_ptr<Entry>> g_cache;
+std::vector<std::shared_ptr<Entry>> g_cache;
 
 std::shared_ptr<Entry>
 entryFor(const SimConfig &cfg)
 {
-    const std::string key = streamKey(cfg);
+    SimConfig anchor = anchorConfig(cfg);
     std::lock_guard<std::mutex> lock(g_cacheMutex);
-    auto &slot = g_cache[key];
-    if (!slot)
-        slot = std::make_shared<Entry>();
-    return slot;
+    for (const auto &entry : g_cache)
+        if (entry->anchorCfg == anchor)
+            return entry;
+    return g_cache.emplace_back(std::make_shared<Entry>(std::move(anchor)));
 }
 
 void
-buildEntry(Entry &entry, const SimConfig &cfg)
+buildEntry(Entry &entry)
 {
-    const SimConfig anchor_cfg = anchorConfig(cfg);
+    const SimConfig &anchor_cfg = entry.anchorCfg;
 
     analysis::ProfileSpec spec;
-    spec.skipRefs = cfg.skipRefs;
-    spec.warmupRefs = cfg.warmupRefs;
-    spec.measureRefs = cfg.measureRefs;
+    spec.skipRefs = anchor_cfg.skipRefs;
+    spec.warmupRefs = anchor_cfg.warmupRefs;
+    spec.measureRefs = anchor_cfg.measureRefs;
     spec.pivotLlcBlocks = anchor_cfg.hierarchy.llcBytes / kBlockSize;
-    spec.layout = cfg.secure.layout;
+    spec.layout = anchor_cfg.secure.layout;
 
-    const auto gen = makeBenchmark(cfg.benchmark, cfg.seed);
+    const auto gen = makeBenchmark(anchor_cfg.benchmark, anchor_cfg.seed);
     entry.profile =
         analysis::profileStream(*gen, spec, [] { runner::heartbeat(); });
 
@@ -145,7 +133,6 @@ buildEntry(Entry &entry, const SimConfig &cfg)
         analysis::evaluate(entry.profile, evalConfig(anchor_cfg));
     entry.pivotLlcBytes = anchor_cfg.hierarchy.llcBytes;
     entry.pivotMdBytes = anchor_cfg.secure.cache.sizeBytes;
-    entry.ready = true;
 }
 
 /**
@@ -347,43 +334,18 @@ analyticReport(const SimConfig &cfg, Entry &entry, Mode mode)
         roundCount(cal(anchor_stalls, raw.stallWeight,
                        pivot.stallWeight));
 
-    // Energy and delay follow the full-run conventions (simulator.cpp):
-    // l1/l2/llc dynamic energy spans both phases, metadata cache and
-    // DRAM are measure-window, leakage integrates the SRAM budget over
-    // the run's seconds.
-    const EnergyModel energy_model(cfg.energy);
-    report.seconds = energy_model.secondsOf(report.cycles);
+    // Energy and delay follow the full-run conventions (fillEnergy): the
+    // both-phase level accesses scale the measure-window estimates.
     const double both_phase =
         static_cast<double>(cfg.warmupRefs + cfg.measureRefs) /
         static_cast<double>(cfg.measureRefs);
-    report.energy.l1Pj = energy_model.cacheDynamicPj(
-        cfg.hierarchy.l1Bytes,
-        roundCount(both_phase * static_cast<double>(report.refs)));
-    report.energy.l2Pj = energy_model.cacheDynamicPj(
-        cfg.hierarchy.l2Bytes,
-        roundCount(both_phase *
-                   static_cast<double>(report.hierarchy.l1Misses)));
-    report.energy.llcPj = energy_model.cacheDynamicPj(
-        cfg.hierarchy.llcBytes,
-        roundCount(both_phase *
-                   static_cast<double>(report.hierarchy.l2Misses)));
-    std::uint64_t sram_bytes = cfg.hierarchy.l1Bytes +
-                               cfg.hierarchy.l2Bytes +
-                               cfg.hierarchy.llcBytes;
-    if (cfg.secure.cacheEnabled) {
-        std::uint64_t md_accesses = 0;
-        for (unsigned t = 0; t < kNumMetadataTypes; ++t)
-            md_accesses += md.accesses[t] - md.bypasses[t];
-        report.energy.mdCachePj = energy_model.cacheDynamicPj(
-            cfg.secure.cache.sizeBytes, md_accesses);
-        sram_bytes += cfg.secure.cache.sizeBytes;
-    }
-    report.energy.dramPj = energy_model.dramAccessPj() *
-                           static_cast<double>(mem.accesses());
-    report.energy.leakagePj =
-        energy_model.leakagePj(sram_bytes, report.seconds);
-    report.ed2 =
-        energyDelaySquared(report.energy.totalPj(), report.seconds);
+    const auto both_phases = [both_phase](std::uint64_t measured) {
+        return roundCount(both_phase * static_cast<double>(measured));
+    };
+    fillEnergy(report, cfg, EnergyModel(cfg.energy),
+               both_phases(report.refs),
+               both_phases(report.hierarchy.l1Misses),
+               both_phases(report.hierarchy.l2Misses));
 
     // Synthesized registry export: the four report structs plus the
     // standard derived list — a documented reduction of the full run's
@@ -405,23 +367,9 @@ analyticReport(const SimConfig &cfg, Entry &entry, Mode mode)
     add(mem_name, report.memory);
     add("secmem", report.controller);
     add("secmem.mdcache", report.mdCache);
-    const auto derived = [&ex](std::string name, double v, int p) {
-        ex.derived.push_back({std::move(name), v, p});
-    };
-    derived("derived.llc.mpki", report.llcMpki, 4);
-    derived("derived.metadata.mpki", report.metadataMpki, 4);
-    derived("derived.mem.accesses_per_request",
-            report.memAccessesPerRequest, 4);
-    derived("derived.cycles", static_cast<double>(report.cycles), 0);
-    derived("derived.seconds", report.seconds, 9);
-    derived("derived.energy.l1_pj", report.energy.l1Pj, 1);
-    derived("derived.energy.l2_pj", report.energy.l2Pj, 1);
-    derived("derived.energy.llc_pj", report.energy.llcPj, 1);
-    derived("derived.energy.mdcache_pj", report.energy.mdCachePj, 1);
-    derived("derived.energy.dram_pj", report.energy.dramPj, 1);
-    derived("derived.energy.leakage_pj", report.energy.leakagePj, 1);
-    derived("derived.energy.total_pj", report.energy.totalPj(), 1);
-    derived("derived.ed2", report.ed2, 18);
+    forEachDerived(report, [&ex](const char *name, double v, int p) {
+        ex.derived.push_back({name, v, p});
+    });
     report.metricsExport = std::move(ex);
 
     // The estimator section: provenance plus the disclosed bounds.
@@ -540,7 +488,7 @@ runWithMode(const SimConfig &cfg, Mode mode, CellKind kind)
         return pinnedSim(cfg, mode, reason);
 
     const auto entry = entryFor(cfg);
-    std::call_once(entry->once, [&] { buildEntry(*entry, cfg); });
+    std::call_once(entry->once, [&] { buildEntry(*entry); });
     return analyticReport(cfg, *entry, mode);
 }
 

@@ -45,21 +45,6 @@ modeName(Mode m)
     return "sim";
 }
 
-/** Strict parse of an --estimator value; false on unknown names. */
-inline bool
-parseMode(const std::string &name, Mode &out)
-{
-    if (name == "sim")
-        out = Mode::Sim;
-    else if (name == "analytic")
-        out = Mode::Analytic;
-    else if (name == "auto")
-        out = Mode::Auto;
-    else
-        return false;
-    return true;
-}
-
 /**
  * A driver's hint about a cell's role in its sweep. Corners (extreme
  * grid points, baselines, cells whose knob the analytic model does not

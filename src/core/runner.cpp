@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
@@ -13,6 +14,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <mutex>
 #include <sstream>
@@ -28,6 +30,7 @@
 #endif
 
 #include "check/check.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
 
@@ -81,6 +84,250 @@ parseUint(const std::string &text, std::uint64_t &out)
     return true;
 }
 
+/**
+ * One driver flag, declared once. `usage` is both the --help column and
+ * the spellings the parser accepts: alternatives are separated by
+ * " | ", a spelling with '=' takes the rest of the argument as its
+ * value, and all spellings share one at-most-once slot.
+ */
+struct Flag
+{
+    using Arg = const std::string &;
+
+    const char *usage;
+    const char *help;
+    /** Apply (argument, value); returns "" or what a valid value needs.
+     *  nullptr marks --help. */
+    std::string (*apply)(Arg arg, Arg value, Options &out);
+    /** resume.manifest value; nullptr when rows do not depend on it. */
+    std::string (*identity)(const Options &opts) = nullptr;
+    /** mapsd children skip this manifest key: mapsd downgrades cells to
+     *  --metrics=summary on purpose and discloses it in the job. */
+    bool childMayDiffer = false;
+};
+
+using Arg = Flag::Arg;
+
+/** "" when @p ok, else @p need. */
+std::string
+unless(bool ok, const char *need)
+{
+    return ok ? std::string() : need;
+}
+
+/** A non-empty text value. */
+template <std::string Options::*Field>
+std::string
+text(Arg, Arg value, Options &out)
+{
+    out.*Field = value;
+    return unless(!value.empty(), "need a non-empty value");
+}
+
+/** A switch. */
+template <bool Options::*Field, bool To = true>
+std::string
+set(Arg, Arg, Options &out)
+{
+    out.*Field = To;
+    return "";
+}
+
+/** Set @p out to the member of @p all named @p value. */
+template <typename E>
+std::string
+oneOf(Arg value, E &out, const char *(*name)(E), std::initializer_list<E> all)
+{
+    std::string need = "need";
+    for (const E e : all) {
+        if (value == name(e)) {
+            out = e;
+            return "";
+        }
+        need += std::string(need.size() == 4 ? " " : ", ") + name(e);
+    }
+    return need;
+}
+
+const Flag kFlags[] = {
+    {"--quick | --full | --scale=X", "sweep size (X > 0; quick=0.25, full=4)",
+     [](Arg arg, Arg v, Options &o) {
+         if (arg == "--quick" || arg == "--full") {
+             o.scale = arg == "--quick" ? 0.25 : 4.0;
+             return std::string();
+         }
+         return unless(parsePositiveDouble(v, o.scale),
+                       "need a finite number > 0");
+     },
+     [](const Options &o) {
+         // Shortest round-trip spelling: exact, and 0.1 reads "0.1".
+         char buf[32];
+         return std::string(buf,
+                            std::to_chars(buf, buf + 32, o.scale).ptr);
+     }},
+    {"--seed=N", "base RNG seed (default 1)",
+     [](Arg, Arg v, Options &o) {
+         return unless(parseUint(v, o.seed), "need an integer >= 0");
+     },
+     [](const Options &o) { return std::to_string(o.seed); }},
+    {"--jobs=N", "worker threads (default: all cores)",
+     [](Arg, Arg v, Options &o) {
+         std::uint64_t n = 0;
+         const bool ok = parseUint(v, n) && n >= 1 && n <= 4096;
+         o.jobs = static_cast<unsigned>(n);
+         return unless(ok, "need an integer in [1, 4096]");
+     }},
+    {"--format=table|json|csv", "result format (default table)",
+     [](Arg, Arg v, Options &o) {
+         return oneOf(v == "jsonl" ? "json" : v, o.format, formatName,
+                      {OutputFormat::Table, OutputFormat::Jsonl,
+                       OutputFormat::Csv});
+     }},
+    {"--out=FILE", "write results to FILE (default stdout)",
+     text<&Options::outPath>},
+    {"--no-progress", "suppress stderr progress/ETA",
+     set<&Options::progress, false>},
+    {"--check",
+     "run maps::check differential verification (exit 1 on divergence)",
+     set<&Options::check>,
+     [](const Options &o) { return std::string(o.check ? "on" : "off"); }},
+    {"--cell-timeout=SECS", "cancel cells cooperatively after SECS seconds",
+     [](Arg, Arg v, Options &o) {
+         return unless(parsePositiveDouble(v, o.cellTimeoutSec),
+                       "need seconds > 0");
+     }},
+    {"--resume=DIR", "checkpoint finished cells in DIR; restart skips them",
+     text<&Options::resumeDir>},
+    {"--metrics=off|summary|full",
+     "append maps::metrics registry rows per cell (default off)",
+     [](Arg, Arg v, Options &o) {
+         return oneOf(v, o.metrics, metricsLevelName,
+                      {MetricsLevel::Off, MetricsLevel::Summary,
+                       MetricsLevel::Full});
+     },
+     [](const Options &o) { return std::string(metricsLevelName(o.metrics)); },
+     true},
+    {"--trace-events=FILE",
+     "write a sampled chrome://tracing JSON for one cell",
+     text<&Options::traceEventsPath>},
+    {"--trace-sample=N", "trace every N-th measured request (default 4096)",
+     [](Arg, Arg v, Options &o) {
+         return unless(parseUint(v, o.traceSample) && o.traceSample != 0,
+                       "need an integer >= 1");
+     }},
+    {"--trace-cell=ID",
+     "cell that claims --trace-events (default: first to start)",
+     text<&Options::traceCell>},
+    {"--list-cells",
+     "print the cell grid (phase, id, cached|pending) instead of running; "
+     "when every cell is cached, also render the result into --out",
+     set<&Options::listCells>},
+    {"--only-cells=ID[,ID...]",
+     "run only the named cells; others load from --resume or are skipped",
+     [](Arg, Arg v, Options &o) {
+         o.onlyCells.clear();
+         std::istringstream ids(v + ",");
+         for (std::string id; std::getline(ids, id, ',');)
+             o.onlyCells.push_back(id);
+         return unless(std::count(o.onlyCells.begin(), o.onlyCells.end(),
+                                  "") == 0,
+                       "empty cell id");
+     }},
+    {"--sample=off|auto|k=N",
+     "representative-interval sampling with error-bounded estimates "
+     "(default off)",
+     [](Arg, Arg v, Options &o) {
+         return sampling::SampleSpec::parse(v, o.sample);
+     },
+     [](const Options &o) { return o.sample.str(); }},
+    {"--estimator=sim|analytic|auto",
+     "cell evaluation tier: exact simulation, analytic reuse-distance "
+     "estimation with disclosed tolerances, or analytic interiors with "
+     "simulated corners (default sim)",
+     [](Arg, Arg v, Options &o) {
+         return oneOf(v, o.estimator, estimator::modeName,
+                      {estimator::Mode::Sim, estimator::Mode::Analytic,
+                       estimator::Mode::Auto});
+     },
+     [](const Options &o) {
+         return std::string(estimator::modeName(o.estimator));
+     }},
+    {"--help | -h", "this message", nullptr},
+};
+
+/** The declaration @p arg spells, or nullptr. */
+const Flag *
+findFlag(const std::string &arg)
+{
+    for (const Flag &f : kFlags) {
+        std::istringstream spellings(f.usage);
+        for (std::string s; spellings >> s;) {
+            const auto eq = s.find('=');
+            if (s != "|" && (eq == s.npos ? arg == s
+                                          : arg.compare(0, eq + 1, s, 0,
+                                                        eq + 1) == 0))
+                return &f;
+        }
+    }
+    return nullptr;
+}
+
+/**
+ * The resume.manifest a run records in its --resume directory: a format
+ * line, then every row-changing flag's "key=value" (keyed by its last
+ * spelling) in table order, each with whether mapsd children skip it.
+ */
+std::vector<std::pair<std::string, bool>>
+resumeManifest(const Options &opts)
+{
+    std::vector<std::pair<std::string, bool>> lines{{"maps-resume-v2", false}};
+    for (const Flag &f : kFlags) {
+        if (!f.identity)
+            continue;
+        std::string_view key = f.usage;
+        key = key.substr(key.rfind("--") + 2);
+        lines.emplace_back(std::string(key.substr(0, key.find('='))) + "=" +
+                               f.identity(opts),
+                           f.childMayDiffer);
+    }
+    return lines;
+}
+
+/** What differs between a recorded manifest and this run's, or "". */
+std::string
+manifestMismatch(std::istream &recorded, const Options &opts)
+{
+    const bool child = opts.listCells || !opts.onlyCells.empty();
+    std::string diff, got;
+    for (const auto &[want, may_differ] : resumeManifest(opts)) {
+        if (!std::getline(recorded, got))
+            got = "nothing";
+        if (got != want && !(child && may_differ))
+            diff += (diff.empty() ? "" : ", ") + got +
+                    " where this run has " + want;
+    }
+    return diff;
+}
+
+/**
+ * Atomic publish: a kill can leave a stale temporary behind but never a
+ * torn file under the final name. The temporary is per process, since
+ * concurrent mapsd cell children publish into one directory.
+ */
+void
+publish(const std::filesystem::path &path, const std::string &bytes)
+{
+    const auto tmp = path.string() + ".tmp." + std::to_string(::getpid());
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    os << bytes;
+    os.close();
+    std::error_code ec;
+    if (os)
+        std::filesystem::rename(tmp, path, ec);
+    if (!os || ec)
+        std::filesystem::remove(tmp, ec);
+}
+
 } // namespace
 
 std::string
@@ -89,136 +336,33 @@ Options::tryParse(const std::vector<std::string> &args, Options &out,
 {
     // Strict-parser contract: every option may be given at most once.
     // Last-wins would silently ignore half of "--jobs=2 --jobs=4"; that
-    // is almost always a script bug, so repeats are hard errors. The
-    // three sweep-size spellings share one slot.
-    std::vector<std::string> seen;
+    // is almost always a script bug, so repeats are hard errors. All
+    // spellings of one declaration share one slot.
+    std::vector<const Flag *> seen;
     for (const auto &arg : args) {
-        std::string key;
-        if (arg == "--quick" || arg == "--full" ||
-            arg.rfind("--scale=", 0) == 0) {
-            key = "--scale/--quick/--full";
-        } else if (arg.rfind("--", 0) == 0) {
-            const auto eq = arg.find('=');
-            key = eq == std::string::npos ? arg : arg.substr(0, eq);
-        }
-        if (!key.empty()) {
-            if (std::find(seen.begin(), seen.end(), key) != seen.end())
-                return "duplicate option " + arg + " (" + key +
-                       " was already given; each option may appear at "
-                       "most once)";
-            seen.push_back(key);
-        }
-        const auto value_of = [&arg](std::size_t prefix_len) {
-            return arg.substr(prefix_len);
-        };
-        if (arg == "--help" || arg == "-h") {
-            return "help";
-        } else if (arg == "--quick") {
-            out.scale = 0.25;
-        } else if (arg == "--full") {
-            out.scale = 4.0;
-        } else if (arg.rfind("--scale=", 0) == 0) {
-            if (!parsePositiveDouble(value_of(8), out.scale))
-                return "invalid --scale value '" + value_of(8) +
-                       "' (need a finite number > 0)";
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            if (!parseUint(value_of(7), out.seed))
-                return "invalid --seed value '" + value_of(7) + "'";
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            std::uint64_t jobs = 0;
-            if (!parseUint(value_of(7), jobs) || jobs == 0 ||
-                jobs > 4096)
-                return "invalid --jobs value '" + value_of(7) +
-                       "' (need an integer in [1, 4096])";
-            out.jobs = static_cast<unsigned>(jobs);
-        } else if (arg.rfind("--format=", 0) == 0) {
-            const auto fmt = value_of(9);
-            if (fmt == "table")
-                out.format = OutputFormat::Table;
-            else if (fmt == "json" || fmt == "jsonl")
-                out.format = OutputFormat::Jsonl;
-            else if (fmt == "csv")
-                out.format = OutputFormat::Csv;
-            else
-                return "invalid --format value '" + fmt +
-                       "' (table, json, or csv)";
-        } else if (arg.rfind("--out=", 0) == 0) {
-            out.outPath = value_of(6);
-            if (out.outPath.empty())
-                return "--out needs a file path";
-        } else if (arg == "--no-progress") {
-            out.progress = false;
-        } else if (arg == "--check") {
-            out.check = true;
-        } else if (arg.rfind("--cell-timeout=", 0) == 0) {
-            if (!parsePositiveDouble(value_of(15), out.cellTimeoutSec))
-                return "invalid --cell-timeout value '" + value_of(15) +
-                       "' (need seconds > 0)";
-        } else if (arg.rfind("--resume=", 0) == 0) {
-            out.resumeDir = value_of(9);
-            if (out.resumeDir.empty())
-                return "--resume needs a directory path";
-        } else if (arg.rfind("--metrics=", 0) == 0) {
-            const auto level = value_of(10);
-            if (level == "off")
-                out.metrics = MetricsLevel::Off;
-            else if (level == "summary")
-                out.metrics = MetricsLevel::Summary;
-            else if (level == "full")
-                out.metrics = MetricsLevel::Full;
-            else
-                return "invalid --metrics value '" + level +
-                       "' (off, summary, or full)";
-        } else if (arg.rfind("--trace-events=", 0) == 0) {
-            out.traceEventsPath = value_of(15);
-            if (out.traceEventsPath.empty())
-                return "--trace-events needs a file path";
-        } else if (arg.rfind("--trace-sample=", 0) == 0) {
-            if (!parseUint(value_of(15), out.traceSample) ||
-                out.traceSample == 0)
-                return "invalid --trace-sample value '" + value_of(15) +
-                       "' (need an integer >= 1)";
-        } else if (arg.rfind("--trace-cell=", 0) == 0) {
-            out.traceCell = value_of(13);
-            if (out.traceCell.empty())
-                return "--trace-cell needs a cell id";
-        } else if (arg.rfind("--sample=", 0) == 0) {
-            const auto err = sampling::SampleSpec::parse(value_of(9),
-                                                         out.sample);
-            if (!err.empty())
-                return "invalid --sample value '" + value_of(9) + "' (" +
-                       err + ")";
-        } else if (arg.rfind("--estimator=", 0) == 0) {
-            if (!estimator::parseMode(value_of(12), out.estimator))
-                return "invalid --estimator value '" + value_of(12) +
-                       "' (sim, analytic, or auto)";
-        } else if (arg == "--list-cells") {
-            out.listCells = true;
-        } else if (arg.rfind("--only-cells=", 0) == 0) {
-            const auto list = value_of(13);
-            out.onlyCells.clear();
-            std::size_t start = 0;
-            while (start <= list.size()) {
-                const auto comma = list.find(',', start);
-                const auto end =
-                    comma == std::string::npos ? list.size() : comma;
-                if (end == start)
-                    return "invalid --only-cells value '" + list +
-                           "' (empty cell id)";
-                out.onlyCells.push_back(list.substr(start, end - start));
-                if (comma == std::string::npos)
-                    break;
-                start = comma + 1;
-            }
-            if (out.onlyCells.empty())
-                return "--only-cells needs at least one cell id";
-        } else if (arg.rfind("--", 0) == 0) {
+        const Flag *flag = findFlag(arg);
+        if (!flag && arg.rfind("--", 0) == 0)
             return "unknown option: " + arg;
-        } else if (positionals) {
-            positionals->push_back(arg);
-        } else {
+        if (!flag && !positionals)
             return "unexpected argument: " + arg;
+        if (!flag) {
+            positionals->push_back(arg);
+            continue;
         }
+        if (std::find(seen.begin(), seen.end(), flag) != seen.end())
+            return "duplicate option " + arg + " (" + flag->usage +
+                   " was already given; each option may appear at "
+                   "most once)";
+        seen.push_back(flag);
+        if (!flag->apply)
+            return "help";
+        const auto eq = arg.find('=');
+        const std::string value =
+            eq == std::string::npos ? "" : arg.substr(eq + 1);
+        const auto need = flag->apply(arg, value, out);
+        if (!need.empty())
+            return "invalid " + arg.substr(0, eq) + " value '" + value +
+                   "' (" + need + ")";
     }
     if (out.sample.enabled && !out.traceEventsPath.empty())
         return "--sample cannot be combined with --trace-events (a "
@@ -242,43 +386,13 @@ Options::tryParse(const std::vector<std::string> &args, Options &out,
 void
 Options::usage(std::ostream &os, const std::string &argv0)
 {
-    os << "usage: " << argv0 << " [options]\n"
-       << "  --quick | --full | --scale=X  sweep size (X > 0; quick=0.25,"
-          " full=4)\n"
-       << "  --seed=N                      base RNG seed (default 1)\n"
-       << "  --jobs=N                      worker threads (default: all"
-          " cores)\n"
-       << "  --format=table|json|csv       result format (default table)\n"
-       << "  --out=FILE                    write results to FILE (default"
-          " stdout)\n"
-       << "  --no-progress                 suppress stderr progress/ETA\n"
-       << "  --check                       run maps::check differential"
-          " verification (exit 1 on divergence)\n"
-       << "  --cell-timeout=SECS           cancel cells cooperatively"
-          " after SECS seconds\n"
-       << "  --resume=DIR                  checkpoint finished cells in"
-          " DIR; restart skips them\n"
-       << "  --metrics=off|summary|full    append maps::metrics registry"
-          " rows per cell (default off)\n"
-       << "  --trace-events=FILE           write a sampled chrome://tracing"
-          " JSON for one cell\n"
-       << "  --trace-sample=N              trace every N-th measured"
-          " request (default 4096)\n"
-       << "  --trace-cell=ID               cell that claims --trace-events"
-          " (default: first to start)\n"
-       << "  --list-cells                  print the cell grid (phase, id,"
-          " cached|pending) instead of running; when every cell is"
-          " cached, also render the result into --out\n"
-       << "  --only-cells=ID[,ID...]       run only the named cells;"
-          " others load from --resume or are skipped\n"
-       << "  --sample=off|auto|k=N         representative-interval"
-          " sampling with error-bounded estimates (default off)\n"
-       << "  --estimator=sim|analytic|auto cell evaluation tier: exact"
-          " simulation, analytic reuse-distance estimation with"
-          " disclosed tolerances, or analytic interiors with simulated"
-          " corners (default sim)\n"
-       << "  --help                        this message\n"
-       << "Each option may be given at most once; repeats are errors.\n";
+    os << "usage: " << argv0 << " [options]\n";
+    for (const Flag &f : kFlags)
+        os << "  " << std::left << std::setw(29) << f.usage << ' ' << f.help
+           << (f.identity ? " [resume identity]" : "") << '\n';
+    os << "Each option may be given at most once; repeats are errors.\n"
+          "A --resume directory continues only a run whose [resume "
+          "identity] options match.\n";
 }
 
 Options
@@ -320,12 +434,8 @@ Options::effectiveJobs() const
 std::uint64_t
 deriveCellSeed(std::uint64_t base, std::string_view cell_id)
 {
-    // FNV-1a over the id, folded into the base, splitmix64-finalized.
-    std::uint64_t h = base ^ 0xCBF29CE484222325ull;
-    for (const char c : cell_id) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001B3ull;
-    }
+    // FNV-1a over the id, seeded with the base, splitmix64-finalized.
+    std::uint64_t h = Fnv1a(base).bytes(cell_id).value();
     h += 0x9E3779B97F4A7C15ull;
     h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
     h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
@@ -893,21 +1003,15 @@ checkpointFileName(const std::string &phase, const Cell &cell,
     // The hash keys everything the result depends on (phase, id, the
     // derived seed, the sweep scale) so a checkpoint from a different
     // configuration can never be mistaken for this cell's.
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    const auto fold = [&h](const void *data, std::size_t n) {
-        const auto *bytes = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= bytes[i];
-            h *= 0x100000001B3ull;
-        }
-    };
-    fold(phase.data(), phase.size());
-    fold("\0", 1);
-    fold(cell.id.data(), cell.id.size());
-    fold("\0", 1);
-    fold(&cell.seed, sizeof(cell.seed));
     const std::uint64_t scale_bits = std::bit_cast<std::uint64_t>(scale);
-    fold(&scale_bits, sizeof(scale_bits));
+    const std::uint64_t h = Fnv1a()
+                                .bytes(phase)
+                                .bytes("\0", 1)
+                                .bytes(cell.id)
+                                .bytes("\0", 1)
+                                .bytes(&cell.seed, sizeof(cell.seed))
+                                .bytes(&scale_bits, sizeof(scale_bits))
+                                .value();
 
     std::string stem;
     for (const char c : cell.id) {
@@ -1137,44 +1241,24 @@ ExperimentRunner::run(const std::vector<Cell> &cells,
             const auto err = resumeLock_.acquire(opts_.resumeDir);
             fatalIf(!err.empty(), err);
         }
-        // Checkpoints encode only rows, not how they were produced, so
-        // the directory carries a manifest of the run flags that change
-        // cell *semantics* (today: --sample and --estimator). Runs with
-        // different estimation mechanisms pointed at the same directory
-        // must never silently mix their estimated and exact outputs.
-        {
-            const auto manifest = ckdir / "resume.manifest";
-            const std::string want =
-                std::string("maps-resume-v1\nsample=") +
-                opts_.sample.str() + "\nestimator=" +
-                estimator::modeName(opts_.estimator) + "\n";
-            std::ifstream in(manifest, std::ios::binary);
-            if (in) {
-                std::ostringstream text;
-                text << in.rdbuf();
-                fatalIf(text.str() != want,
-                        "--resume directory '" + opts_.resumeDir +
-                            "' was recorded under different run flags "
-                            "(its resume.manifest does not match this "
-                            "run's sample=" + opts_.sample.str() +
-                            " estimator=" +
-                            estimator::modeName(opts_.estimator) +
-                            "); estimated and exact checkpoints cannot "
-                            "mix — use a fresh --resume directory");
-            } else if (!opts_.listCells) {
-                const auto tmp = manifest.string() + ".tmp";
-                std::ofstream os(tmp,
-                                 std::ios::binary | std::ios::trunc);
-                os << want;
-                os.flush();
-                std::error_code mec;
-                if (os) {
-                    os.close();
-                    std::filesystem::rename(tmp, manifest, mec);
-                }
-                if (mec)
-                    std::filesystem::remove(tmp, mec);
-            }
+        // Checkpoints encode only rows, not the flags that produced
+        // them, so the directory records every row-changing flag
+        // (resume.manifest) and a run under different flags must never
+        // silently reuse it.
+        const auto manifest = ckdir / "resume.manifest";
+        if (std::ifstream in(manifest, std::ios::binary); in) {
+            const auto diff = manifestMismatch(in, opts_);
+            fatalIf(!diff.empty(),
+                    "--resume directory '" + opts_.resumeDir +
+                        "' was recorded under different run flags (its "
+                        "resume.manifest has " + diff +
+                        "); checkpoints of different configurations "
+                        "cannot mix — use a fresh --resume directory");
+        } else if (!opts_.listCells) {
+            std::string text;
+            for (const auto &line : resumeManifest(opts_))
+                text += line.first + "\n";
+            publish(manifest, text);
         }
         for (std::size_t i = 0; i < work.size(); ++i) {
             const auto path = ckdir / detail::checkpointFileName(
@@ -1295,22 +1379,7 @@ ExperimentRunner::run(const std::vector<Cell> &cells,
                 const auto path =
                     ckdir / detail::checkpointFileName(phase_name, work[i],
                                                        opts_.scale);
-                // Atomic publish: a kill can leave a stale .tmp around
-                // but never a torn checkpoint under the final name.
-                const auto tmp = path.string() + ".tmp";
-                std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-                os << detail::serializeCellOutput(out[i]);
-                os.flush();
-                if (os) {
-                    os.close();
-                    std::error_code ec;
-                    std::filesystem::rename(tmp, path, ec);
-                    if (ec)
-                        std::filesystem::remove(tmp, ec);
-                } else {
-                    std::error_code ec;
-                    std::filesystem::remove(tmp, ec);
-                }
+                publish(path, detail::serializeCellOutput(out[i]));
             }
             progress.completed(work[i].id);
         }

@@ -64,42 +64,17 @@ enum class MetricsLevel : std::uint8_t { Off, Summary, Full };
 const char *metricsLevelName(MetricsLevel level);
 
 /**
- * Options shared by every experiment driver.
- *
- *   --quick | --full | --scale=X   sweep size (X > 0)
- *   --seed=N                       base RNG seed
- *   --jobs=N                       worker threads (default: all cores)
- *   --format=table|json|csv        result rendering
- *   --out=FILE                     write results to FILE (default stdout)
- *   --no-progress                  suppress the stderr progress reporter
- *   --check                        run the maps::check differential
- *                                  verification layer and report
- *   --cell-timeout=SECS            cancel cells cooperatively after SECS
- *   --resume=DIR                   checkpoint finished cells in DIR and
- *                                  skip them on restart
- *   --metrics=off|summary|full     append maps::metrics registry rows to
- *                                  the result stream
- *   --trace-events=FILE            emit a sampled chrome://tracing JSON
- *                                  for one cell of the run
- *   --trace-sample=N               trace every N-th measured request
- *                                  (default 4096)
- *   --trace-cell=ID                which cell claims the trace (default:
- *                                  first to start)
- *   --list-cells                   print the cell grid instead of
- *                                  running it; a grid complete from
- *                                  --resume also renders into --out
- *                                  (service list-or-assemble mode)
- *   --only-cells=ID[,ID...]        run only the named cells; others are
- *                                  loaded from --resume checkpoints or
- *                                  skipped (service sharding mode)
- *   --estimator=sim|analytic|auto  cell evaluation tier
- *                                  (docs/ESTIMATOR.md)
- *   --help                         usage
+ * Options shared by every experiment driver. Each flag is declared once,
+ * in the flag table in runner.cpp, which drives parsing, `--help` and
+ * the --resume manifest: run any driver with --help for the list.
  *
  * Unknown flags, malformed values, non-positive scales, and *repeated*
  * flags (e.g. "--jobs=2 --jobs=4") are errors: every option may be
  * given at most once, and the mutually-exclusive sweep-size spellings
- * (--quick / --full / --scale) count as one option.
+ * (--quick / --full / --scale) count as one option. The flags that
+ * change a cell's rows (scale, seed, --check, --metrics, --sample,
+ * --estimator) are recorded in the --resume directory's
+ * resume.manifest; a run under different values cannot resume it.
  */
 struct Options
 {
@@ -149,20 +124,14 @@ struct Options
     /** Cell id that claims --trace-events; empty = first come. */
     std::string traceCell;
     /**
-     * List-or-assemble mode for the experiment service (mapsd): instead
-     * of running, each run() call prints one machine-readable line per
-     * cell ("cell <TAB> phase <TAB> id <TAB> cached|pending"). A phase
-     * whose cells are all cached (loadable --resume checkpoints)
-     * returns the loaded outputs so the driver can construct dependent
-     * phases; otherwise the process prints "list-end incomplete" and
-     * exits 0 immediately without computing a cell — later phases are
-     * discovered by re-listing once the pending cells have been
-     * executed and checkpointed. When every phase resolved, the run
-     * has assembled its result: with --out it is rendered into that
-     * file through the normal sink (byte-identical to a plain --resume
-     * run's output; without --out it is discarded, since stdout holds
-     * the cell lines), and finish() prints "list-end complete". An
-     * incomplete listing may leave the --out file truncated.
+     * mapsd's list-or-assemble mode: each run() prints one line per cell
+     * ("cell <TAB> phase <TAB> id <TAB> cached|pending"). A phase with a
+     * pending cell prints "list-end incomplete" and exits 0 without
+     * computing a cell; mapsd re-lists once it has run the pending
+     * cells. When every phase resolves from --resume checkpoints, the
+     * result renders into --out (byte-identical to a plain --resume
+     * run; discarded without --out) and finish() prints "list-end
+     * complete". An incomplete listing may leave --out truncated.
      */
     bool listCells = false;
     /**
@@ -175,27 +144,16 @@ struct Options
      */
     std::vector<std::string> onlyCells;
     /**
-     * Representative-interval sampling (docs/SAMPLING.md):
-     * "--sample=off" (the default, full simulation), "--sample=auto"
-     * (elbow-rule cluster count) or "--sample=k=N"; optional
-     * ",interval=REFS" / ",warmup=REFS" tuning suffixes. Sampled runs
-     * estimate every reported counter from cluster representatives and
-     * append "maps::metrics sampling" sections with explicit error
-     * bounds. Incompatible with --trace-events (a sampled timeline
-     * would splice unrelated stream positions) and with --resume
-     * directories recorded under a different sampling spec.
+     * Representative-interval sampling (docs/SAMPLING.md): off (full
+     * simulation, the default), auto or k=N, with optional
+     * ",interval=REFS" / ",warmup=REFS" suffixes. Sampled runs estimate
+     * every counter and append "maps::metrics sampling" bound sections.
      */
     sampling::SampleSpec sample;
     /**
-     * Cell evaluation tier (docs/ESTIMATOR.md): "sim" (the default,
-     * exact simulation — byte-identical output), "analytic"
-     * (reuse-distance estimation with disclosed per-metric tolerances)
-     * or "auto" (analytic for sweep interiors, sim for corners).
-     * Incompatible with --sample and --trace-events: an estimated cell
-     * has neither a sampled counter stream nor a request timeline.
-     * Recorded in resume.manifest — a --resume directory written under
-     * a different estimator cannot be continued (estimates and exact
-     * counts must never mix in one output).
+     * Cell evaluation tier (docs/ESTIMATOR.md): sim (exact, the
+     * default), analytic (reuse-distance estimates with disclosed
+     * tolerances) or auto (analytic interiors, simulated corners).
      */
     maps::estimator::Mode estimator = maps::estimator::Mode::Sim;
 

@@ -309,44 +309,9 @@ SecureMemorySim::run()
     // Timing: unit-IPC core plus read-request stalls, both folded into
     // cycles_ during the run.
     report.cycles = cycles_;
-    report.seconds = energyModel_.secondsOf(report.cycles);
-
-    // Energy: dynamic per level + DRAM + SRAM leakage. The documented
-    // window convention: l1/l2/llc dynamic energy spans BOTH phases
-    // (whole-run totals — caches are warmed by real accesses that cost
-    // energy), while the metadata cache and DRAM terms are
-    // measure-window (they scale the measured traffic).
     const auto &h = *hierarchy_;
-    report.energy.l1Pj = energyModel_.cacheDynamicPj(
-        cfg_.hierarchy.l1Bytes, h.l1().stats().accesses());
-    report.energy.l2Pj = energyModel_.cacheDynamicPj(
-        cfg_.hierarchy.l2Bytes, h.l2().stats().accesses());
-    report.energy.llcPj = energyModel_.cacheDynamicPj(
-        cfg_.hierarchy.llcBytes, h.llc().stats().accesses());
-
-    std::uint64_t sram_bytes = cfg_.hierarchy.l1Bytes +
-                               cfg_.hierarchy.l2Bytes +
-                               cfg_.hierarchy.llcBytes;
-    if (controller_) {
-        std::uint64_t md_accesses = 0;
-        for (unsigned t = 0; t < kNumMetadataTypes; ++t) {
-            md_accesses +=
-                report.mdCache.accesses[t] - report.mdCache.bypasses[t];
-        }
-        if (cfg_.secure.cacheEnabled) {
-            report.energy.mdCachePj = energyModel_.cacheDynamicPj(
-                cfg_.secure.cache.sizeBytes, md_accesses);
-            sram_bytes += cfg_.secure.cache.sizeBytes;
-        }
-    }
-    report.energy.dramPj =
-        energyModel_.dramAccessPj() *
-        static_cast<double>(report.memory.accesses());
-    report.energy.leakagePj =
-        energyModel_.leakagePj(sram_bytes, report.seconds);
-
-    report.ed2 =
-        energyDelaySquared(report.energy.totalPj(), report.seconds);
+    fillEnergy(report, cfg_, energyModel_, h.l1().stats().accesses(),
+               h.l2().stats().accesses(), h.llc().stats().accesses());
 
     // Host throughput over both phases: the number feeding the
     // "maps::metrics runtime" rows and mapsd's per-job accounting.
@@ -414,24 +379,9 @@ SecureMemorySim::exportMetrics(RunReport &report)
 {
     // Derived metrics: every rate the figures report, computed in one
     // place (metrics/derived.hpp) and recorded with the registry.
-    registry_.derived("derived.llc.mpki", report.llcMpki, 4);
-    registry_.derived("derived.metadata.mpki", report.metadataMpki, 4);
-    registry_.derived("derived.mem.accesses_per_request",
-                      report.memAccessesPerRequest, 4);
-    registry_.derived("derived.cycles",
-                      static_cast<double>(report.cycles), 0);
-    registry_.derived("derived.seconds", report.seconds, 9);
-    registry_.derived("derived.energy.l1_pj", report.energy.l1Pj, 1);
-    registry_.derived("derived.energy.l2_pj", report.energy.l2Pj, 1);
-    registry_.derived("derived.energy.llc_pj", report.energy.llcPj, 1);
-    registry_.derived("derived.energy.mdcache_pj",
-                      report.energy.mdCachePj, 1);
-    registry_.derived("derived.energy.dram_pj", report.energy.dramPj, 1);
-    registry_.derived("derived.energy.leakage_pj",
-                      report.energy.leakagePj, 1);
-    registry_.derived("derived.energy.total_pj",
-                      report.energy.totalPj(), 1);
-    registry_.derived("derived.ed2", report.ed2, 18);
+    forEachDerived(report, [this](const char *name, double v, int p) {
+        registry_.derived(name, v, p);
+    });
 
     report.metricsExport = registry_.exportAll();
 }
@@ -720,13 +670,11 @@ SecureMemorySim::runSampled()
         report.memAccessesPerRequest = mem_per_req.value;
     }
 
-    report.cycles = roundCount(cycles_est.value);
-    report.seconds = energyModel_.secondsOf(report.cycles);
-
     // Energy follows the full-run conventions with estimated counts.
     // l1/l2/llc dynamic energy spans both phases there; the composed
     // estimates cover the measure window, so scale them by the
     // whole-run/measure reference ratio.
+    report.cycles = roundCount(cycles_est.value);
     const double both_phase =
         static_cast<double>(cfg_.warmupRefs + cfg_.measureRefs) /
         static_cast<double>(cfg_.measureRefs);
@@ -735,34 +683,8 @@ SecureMemorySim::runSampled()
                           (at(prefix + ".hits").value +
                            at(prefix + ".misses").value));
     };
-    report.energy.l1Pj = energyModel_.cacheDynamicPj(
-        cfg_.hierarchy.l1Bytes, level_accesses("l1"));
-    report.energy.l2Pj = energyModel_.cacheDynamicPj(
-        cfg_.hierarchy.l2Bytes, level_accesses("l2"));
-    report.energy.llcPj = energyModel_.cacheDynamicPj(
-        cfg_.hierarchy.llcBytes, level_accesses("llc"));
-    std::uint64_t sram_bytes = cfg_.hierarchy.l1Bytes +
-                               cfg_.hierarchy.l2Bytes +
-                               cfg_.hierarchy.llcBytes;
-    if (controller_) {
-        std::uint64_t md_accesses = 0;
-        for (unsigned t = 0; t < kNumMetadataTypes; ++t) {
-            md_accesses +=
-                report.mdCache.accesses[t] - report.mdCache.bypasses[t];
-        }
-        if (cfg_.secure.cacheEnabled) {
-            report.energy.mdCachePj = energyModel_.cacheDynamicPj(
-                cfg_.secure.cache.sizeBytes, md_accesses);
-            sram_bytes += cfg_.secure.cache.sizeBytes;
-        }
-    }
-    report.energy.dramPj =
-        energyModel_.dramAccessPj() *
-        static_cast<double>(report.memory.accesses());
-    report.energy.leakagePj =
-        energyModel_.leakagePj(sram_bytes, report.seconds);
-    report.ed2 =
-        energyDelaySquared(report.energy.totalPj(), report.seconds);
+    fillEnergy(report, cfg_, energyModel_, level_accesses("l1"),
+               level_accesses("l2"), level_accesses("llc"));
 
     // ---- 6. Composed registry export: same names, same order, same
     // derived records as a full run, counters replaced by estimates
@@ -776,23 +698,9 @@ SecureMemorySim::runSampled()
         rec.total = rec.measure;
         ex.counters.push_back(std::move(rec));
     }
-    const auto derived = [&ex](std::string name, double v, int p) {
-        ex.derived.push_back({std::move(name), v, p});
-    };
-    derived("derived.llc.mpki", report.llcMpki, 4);
-    derived("derived.metadata.mpki", report.metadataMpki, 4);
-    derived("derived.mem.accesses_per_request",
-            report.memAccessesPerRequest, 4);
-    derived("derived.cycles", static_cast<double>(report.cycles), 0);
-    derived("derived.seconds", report.seconds, 9);
-    derived("derived.energy.l1_pj", report.energy.l1Pj, 1);
-    derived("derived.energy.l2_pj", report.energy.l2Pj, 1);
-    derived("derived.energy.llc_pj", report.energy.llcPj, 1);
-    derived("derived.energy.mdcache_pj", report.energy.mdCachePj, 1);
-    derived("derived.energy.dram_pj", report.energy.dramPj, 1);
-    derived("derived.energy.leakage_pj", report.energy.leakagePj, 1);
-    derived("derived.energy.total_pj", report.energy.totalPj(), 1);
-    derived("derived.ed2", report.ed2, 18);
+    forEachDerived(report, [&ex](const char *name, double v, int p) {
+        ex.derived.push_back({name, v, p});
+    });
     for (std::size_t h = 0; h < ref_export.histograms.size(); ++h) {
         metrics::Registry::HistogramRecord hr;
         hr.name = ref_export.histograms[h].name;
@@ -868,6 +776,36 @@ SecureMemorySim::runSampled()
             ? static_cast<double>(simulated) / report.wallSeconds
             : 0.0;
     return report;
+}
+
+void
+fillEnergy(RunReport &report, const SimConfig &cfg, const EnergyModel &model,
+           std::uint64_t l1Accesses, std::uint64_t l2Accesses,
+           std::uint64_t llcAccesses)
+{
+    report.seconds = model.secondsOf(report.cycles);
+    report.energy.l1Pj =
+        model.cacheDynamicPj(cfg.hierarchy.l1Bytes, l1Accesses);
+    report.energy.l2Pj =
+        model.cacheDynamicPj(cfg.hierarchy.l2Bytes, l2Accesses);
+    report.energy.llcPj =
+        model.cacheDynamicPj(cfg.hierarchy.llcBytes, llcAccesses);
+    std::uint64_t sram_bytes = cfg.hierarchy.l1Bytes +
+                               cfg.hierarchy.l2Bytes +
+                               cfg.hierarchy.llcBytes;
+    if (cfg.secureEnabled && cfg.secure.cacheEnabled) {
+        std::uint64_t md_accesses = 0;
+        for (unsigned t = 0; t < kNumMetadataTypes; ++t)
+            md_accesses +=
+                report.mdCache.accesses[t] - report.mdCache.bypasses[t];
+        report.energy.mdCachePj =
+            model.cacheDynamicPj(cfg.secure.cache.sizeBytes, md_accesses);
+        sram_bytes += cfg.secure.cache.sizeBytes;
+    }
+    report.energy.dramPj = model.dramAccessPj() *
+                           static_cast<double>(report.memory.accesses());
+    report.energy.leakagePj = model.leakagePj(sram_bytes, report.seconds);
+    report.ed2 = energyDelaySquared(report.energy.totalPj(), report.seconds);
 }
 
 RunReport

@@ -78,6 +78,8 @@ struct SimConfig
     Cycles fixedLatencyCycles = 200;
 
     EnergyConfig energy;
+
+    bool operator==(const SimConfig &) const = default;
 };
 
 /**
@@ -144,6 +146,38 @@ struct RunReport
      */
     estimator::Report estimator;
 };
+
+/**
+ * The report tail every tier shares: seconds from report.cycles, the
+ * energy breakdown and ED². l1/l2/llc dynamic energy spans both phases
+ * (the caller's access counts: caches are warmed by real accesses that
+ * cost energy); the metadata cache and DRAM terms come from the
+ * report's measure-window mdCache and memory views; leakage integrates
+ * the SRAM budget over the run's seconds.
+ */
+void fillEnergy(RunReport &report, const SimConfig &cfg,
+                const EnergyModel &model, std::uint64_t l1Accesses,
+                std::uint64_t l2Accesses, std::uint64_t llcAccesses);
+
+/** The derived registry rows every tier exports, in export order. */
+template <typename Fn>
+void
+forEachDerived(const RunReport &r, Fn &&fn)
+{
+    fn("derived.llc.mpki", r.llcMpki, 4);
+    fn("derived.metadata.mpki", r.metadataMpki, 4);
+    fn("derived.mem.accesses_per_request", r.memAccessesPerRequest, 4);
+    fn("derived.cycles", static_cast<double>(r.cycles), 0);
+    fn("derived.seconds", r.seconds, 9);
+    fn("derived.energy.l1_pj", r.energy.l1Pj, 1);
+    fn("derived.energy.l2_pj", r.energy.l2Pj, 1);
+    fn("derived.energy.llc_pj", r.energy.llcPj, 1);
+    fn("derived.energy.mdcache_pj", r.energy.mdCachePj, 1);
+    fn("derived.energy.dram_pj", r.energy.dramPj, 1);
+    fn("derived.energy.leakage_pj", r.energy.leakagePj, 1);
+    fn("derived.energy.total_pj", r.energy.totalPj(), 1);
+    fn("derived.ed2", r.ed2, 18);
+}
 
 /**
  * One simulation instance. Construct, optionally install taps or a

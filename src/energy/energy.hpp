@@ -25,6 +25,8 @@ struct EnergyConfig
     double sramSizeExponent = 0.5;   ///< access energy ~ size^exp
     double sramLeakMwPerMb = 20.0;   ///< static power
     double cpuFreqGhz = 3.0;         ///< Table I
+
+    bool operator==(const EnergyConfig &) const = default;
 };
 
 /** Per-component dynamic + leakage energy, in picojoules. */

@@ -29,6 +29,8 @@ struct HierarchyConfig
     std::uint32_t llcAssoc = 8;
     /** Replacement policy for all levels. */
     std::string policy = "lru";
+
+    bool operator==(const HierarchyConfig &) const = default;
 };
 
 /**

@@ -5,6 +5,7 @@
 #include <limits>
 #include <unordered_map>
 
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 
 namespace maps {
@@ -29,13 +30,11 @@ struct StateKeyHash
 {
     std::size_t operator()(const StateKey &key) const
     {
-        // FNV-1a over the packed ids.
-        std::uint64_t h = 0xCBF29CE484222325ull;
-        for (const std::uint16_t b : key.blocks) {
-            h ^= b;
-            h *= 0x100000001B3ull;
-        }
-        return static_cast<std::size_t>(h);
+        // FNV-1a over the packed ids, one 16-bit id per step.
+        Fnv1a h;
+        for (const std::uint16_t b : key.blocks)
+            h.mix(b);
+        return static_cast<std::size_t>(h.value());
     }
 };
 

@@ -69,6 +69,8 @@ struct SecureMemoryConfig
     bool prefetchNextMetadata = false;
     Cycles hashLatency = 40; ///< Table I: 40 cycles per hash
     Cycles aesLatency = 40;  ///< one-time-pad generation
+
+    bool operator==(const SecureMemoryConfig &) const = default;
 };
 
 /** Timing/traffic outcome for one request. */

@@ -48,6 +48,8 @@ struct LayoutConfig
     std::uint32_t treeArity = 8;
 
     void validate() const;
+
+    bool operator==(const LayoutConfig &) const = default;
 };
 
 /**

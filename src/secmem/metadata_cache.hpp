@@ -59,6 +59,8 @@ struct MetadataCacheConfig
     static MetadataCacheConfig countersOnly(std::uint64_t size);
     static MetadataCacheConfig countersAndHashes(std::uint64_t size);
     static MetadataCacheConfig allTypes(std::uint64_t size);
+
+    bool operator==(const MetadataCacheConfig &) const = default;
 };
 
 /** Result of a metadata cache access. */

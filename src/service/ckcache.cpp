@@ -2,11 +2,11 @@
 
 #include <sys/stat.h>
 
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
 #include "service/journal.hpp"
+#include "util/hash.hpp"
 
 namespace maps::service {
 
@@ -18,15 +18,7 @@ CheckpointCache::CheckpointCache(std::string indexPath)
 
 std::string CheckpointCache::hashBytes(const std::string &bytes)
 {
-    std::uint64_t h = 14695981039346656037ull;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
+    return Fnv1a().bytes(bytes).hex();
 }
 
 bool CheckpointCache::statOf(const std::string &path,

@@ -18,6 +18,7 @@
 #include "core/runner.hpp"
 #include "service/tcp.hpp"
 #include "service/wire.hpp"
+#include "util/hash.hpp"
 
 namespace maps::service {
 
@@ -211,15 +212,7 @@ RequestSpec::canonical() const
 std::string
 RequestSpec::jobId() const
 {
-    std::uint64_t h = 14695981039346656037ull;
-    for (const unsigned char c : canonical()) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
+    return Fnv1a().bytes(canonical()).hex();
 }
 
 Json

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -160,6 +161,49 @@ TEST(RunnerOptions, ParsesServiceShardingFlags)
               "");
     EXPECT_NE(Options::tryParse({"--list-cells", "--list-cells"}, shard),
               "");
+}
+
+TEST(RunnerOptions, HelpListsEveryAcceptedFlag)
+{
+    // The spellings in --help's option column, each cut after its '='.
+    std::ostringstream help;
+    Options::usage(help, "driver");
+    std::set<std::string> listed;
+    std::istringstream lines(help.str());
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("  -", 0) != 0)
+            continue;
+        std::string column = line.substr(2, 30);
+        column.erase(column.find_last_not_of(' ') + 1);
+        for (std::size_t start = 0; start != std::string::npos;) {
+            const auto bar = column.find(" | ", start);
+            std::string spelling = column.substr(start, bar - start);
+            if (const auto eq = spelling.find('='); eq != std::string::npos)
+                spelling.resize(eq + 1);
+            listed.insert(spelling);
+            start = bar == std::string::npos ? bar : bar + 3;
+        }
+    }
+
+    const std::set<std::string> accepted = {
+        "--quick",          "--full",         "--scale=",
+        "--seed=",          "--jobs=",        "--format=",
+        "--out=",           "--no-progress",  "--check",
+        "--cell-timeout=",  "--resume=",      "--metrics=",
+        "--trace-events=",  "--trace-sample=", "--trace-cell=",
+        "--list-cells",     "--only-cells=",  "--sample=",
+        "--estimator=",     "--help",         "-h"};
+    EXPECT_EQ(listed, accepted);
+    for (const auto &spelling : listed) {
+        Options opts;
+        const auto err = Options::tryParse({spelling}, opts);
+        EXPECT_EQ(err.rfind("unknown option", 0), std::string::npos)
+            << spelling;
+        EXPECT_EQ(err.rfind("unexpected argument", 0), std::string::npos)
+            << spelling;
+    }
+    Options opts;
+    EXPECT_EQ(Options::tryParse({"--bogus"}, opts), "unknown option: --bogus");
 }
 
 TEST(RunnerOptions, ScaledRefsKeepFloor)
@@ -423,6 +467,80 @@ TEST(RunnerCheckpoint, FileNameKeyedOnConfiguration)
     EXPECT_NE(base, runner::detail::checkpointFileName("p", other, 1.0));
     // The id is sanitized into a portable file name.
     EXPECT_EQ(base.find('/'), std::string::npos);
+}
+
+/** Run one trivial cell against opts.resumeDir; returns cells resumed. */
+std::size_t
+runOneCell(const Options &opts)
+{
+    ExperimentRunner runner(opts);
+    std::vector<Cell> cells;
+    cells.push_back({"c0", 0, [](const Cell &) {
+                         return CellOutput{}.add(Row{}.add("id", "c0"));
+                     }});
+    runner.run(cells, "phase");
+    return runner.resumedCells();
+}
+
+TEST(ResumeManifestDeathTest, EveryRowChangingFlagIsPartOfTheIdentity)
+{
+    namespace fs = std::filesystem;
+    const auto dir = fs::temp_directory_path() /
+                     ("maps_manifest_test_" + std::to_string(::getpid()));
+    Options base;
+    base.jobs = 1;
+    base.progress = false;
+    base.resumeDir = dir.string();
+
+    struct Case
+    {
+        const char *flag;
+        void (*change)(Options &);
+    };
+    const Case cases[] = {
+        {"--scale", [](Options &o) { o.scale = 0.5; }},
+        {"--seed", [](Options &o) { o.seed = 2; }},
+        {"--check", [](Options &o) { o.check = true; }},
+        {"--metrics",
+         [](Options &o) { o.metrics = runner::MetricsLevel::Summary; }},
+        {"--sample",
+         [](Options &o) {
+             ASSERT_EQ(sampling::SampleSpec::parse("auto", o.sample), "");
+         }},
+        {"--estimator",
+         [](Options &o) { o.estimator = estimator::Mode::Analytic; }},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.flag);
+        fs::remove_all(dir);
+        EXPECT_EQ(runOneCell(base), 0u);
+        EXPECT_EQ(runOneCell(base), 1u) << "identical flags resume";
+
+        Options changed = base;
+        c.change(changed);
+        EXPECT_EXIT(runOneCell(changed), ::testing::ExitedWithCode(1),
+                    "resume\\.manifest");
+
+        // A mapsd cell child compares every key except --metrics: mapsd
+        // downgrades cells to summary on purpose and discloses it.
+        Options child = changed;
+        child.onlyCells = {"c0"};
+        if (std::string(c.flag) == "--metrics") {
+            EXPECT_EQ(runOneCell(child), 1u);
+        } else {
+            EXPECT_EXIT(runOneCell(child), ::testing::ExitedWithCode(1),
+                        "resume\\.manifest");
+        }
+    }
+
+    // A directory recorded in the old two-key format cannot resume.
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::ofstream(dir / "resume.manifest")
+        << "maps-resume-v1\nsample=off\nestimator=sim\n";
+    EXPECT_EXIT(runOneCell(base), ::testing::ExitedWithCode(1),
+                "resume\\.manifest");
+    fs::remove_all(dir);
 }
 
 TEST(RunnerResume, SkipsCheckpointedCellsAndMatchesUninterrupted)

@@ -25,6 +25,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "core/runner.hpp"
 #include "service/child.hpp"
 #include "service/ckcache.hpp"
 #include "service/client.hpp"
@@ -35,13 +36,32 @@
 #include "service/tcp.hpp"
 #include "service/tenants.hpp"
 #include "service/wire.hpp"
+#include "util/hash.hpp"
 
 namespace fs = std::filesystem;
 using namespace maps::service;
 
 namespace {
 
-fs::path
+/**
+ * A path removed, recursively, when the guard leaves scope: a failed
+ * ASSERT_* returns early and must not leave state dirs, sockets, logs
+ * or a daemon-wedging hold file behind.
+ */
+struct TempPath : fs::path
+{
+    explicit TempPath(fs::path path) : fs::path(std::move(path)) {}
+    TempPath(const TempPath &) = delete;
+    TempPath &operator=(const TempPath &) = delete;
+    ~TempPath()
+    {
+        std::error_code ec;
+        fs::remove_all(*this, ec);
+    }
+};
+
+/** A fresh, empty directory removed on scope exit. */
+TempPath
 tempDir(const std::string &tag)
 {
     const auto dir = fs::temp_directory_path() /
@@ -49,7 +69,7 @@ tempDir(const std::string &tag)
                       std::to_string(::getpid()));
     fs::remove_all(dir);
     fs::create_directories(dir);
-    return dir;
+    return TempPath(dir);
 }
 
 Json
@@ -784,7 +804,6 @@ TEST(ServiceJournal, SavesLoadsAndRemoves)
     jobs = journal.loadAll(skipped);
     ASSERT_EQ(jobs.size(), 1u);
     EXPECT_EQ(jobs[0].first, "job-b");
-    fs::remove_all(dir);
 }
 
 TEST(ServiceJournal, SkipsTornAndForeignFiles)
@@ -804,7 +823,6 @@ TEST(ServiceJournal, SkipsTornAndForeignFiles)
     ASSERT_EQ(jobs.size(), 1u);
     EXPECT_EQ(jobs[0].first, "good");
     EXPECT_EQ(skipped.size(), 2u);
-    fs::remove_all(dir);
 }
 
 TEST(ServiceJournal, AtomicWritePublishesAllOrNothing)
@@ -824,7 +842,6 @@ TEST(ServiceJournal, AtomicWritePublishesAllOrNothing)
         ++entries;
     }
     EXPECT_EQ(entries, 1u);
-    fs::remove_all(dir);
 }
 
 TEST(ServiceJournal, CountersRoundTrip)
@@ -876,7 +893,6 @@ TEST(ServiceChild, ReportsExitCodesAndSignals)
     outcome = runChild(spec);
     EXPECT_EQ(outcome.kind, ChildOutcome::Kind::SpawnFailed);
     EXPECT_NE(outcome.error.find("exec"), std::string::npos);
-    fs::remove_all(dir);
 }
 
 TEST(ServiceChild, HardDeadlineReapsHungChildren)
@@ -891,7 +907,6 @@ TEST(ServiceChild, HardDeadlineReapsHungChildren)
     const auto outcome = runChild(spec);
     EXPECT_EQ(outcome.kind, ChildOutcome::Kind::TimedOut);
     EXPECT_LT(outcome.elapsedMs, 10000.0) << "did not wait for sleep 30";
-    fs::remove_all(dir);
 }
 
 TEST(ServiceChild, HardDeadlineReapsStoppedChildren)
@@ -910,7 +925,6 @@ TEST(ServiceChild, HardDeadlineReapsStoppedChildren)
     const auto outcome = runChild(spec, +stopIt, nullptr);
     EXPECT_EQ(outcome.kind, ChildOutcome::Kind::TimedOut);
     EXPECT_LT(outcome.elapsedMs, 10000.0);
-    fs::remove_all(dir);
 }
 
 TEST(ServiceChild, ReapsWithoutPollingQuantum)
@@ -1340,7 +1354,6 @@ TEST(ServiceTenants, JournalRecoveryRestoresFairShareQueues)
     std::string id, tenant;
     ASSERT_TRUE(sched.pop(id, &tenant));
     EXPECT_EQ(tenant, "good");
-    fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -1388,6 +1401,32 @@ TEST(ServiceAuth, RejectsWrongMissingAndOversizedTokens)
 }
 
 // ---------------------------------------------------------------------------
+// Persisted identities: one FNV-1a hasher (util/hash.hpp) behind all.
+// ---------------------------------------------------------------------------
+
+TEST(StableIdentities, KnownAnswers)
+{
+    // Cell seeds, checkpoint file names, checkpoint content hashes and
+    // job ids name files on disk and jobs on the wire: pinned here so a
+    // refactor of the hasher can never silently rename them.
+    EXPECT_EQ(maps::Fnv1a().hex(), "cbf29ce484222325");
+    EXPECT_EQ(CheckpointCache::hashBytes("abc"), "e71fa2190541574b");
+    const std::uint64_t seed = maps::runner::deriveCellSeed(1, "canneal/64KB");
+    EXPECT_EQ(seed, 17454321765896779994ull);
+    EXPECT_EQ(maps::runner::deriveCellSeed(42, "fig3/libquantum"),
+              3821930017610394406ull);
+    const maps::runner::Cell cell{"canneal/64KB", seed, nullptr};
+    EXPECT_EQ(maps::runner::detail::checkpointFileName("phase", cell, 0.25),
+              "canneal_64KB-57651cf4f0cc215b.cell");
+    RequestSpec spec;
+    spec.driver = "fig3_reuse_cdf";
+    spec.args = {"--quick", "--seed=7"};
+    spec.metrics = "summary";
+    spec.tenant = "alice";
+    EXPECT_EQ(spec.jobId(), "eced6621278ce58d");
+}
+
+// ---------------------------------------------------------------------------
 // Checkpoint content-hash cache: memoization and persistence.
 // ---------------------------------------------------------------------------
 
@@ -1421,7 +1460,6 @@ TEST(ServiceCkCache, HashesMemoizesAndInvalidates)
     EXPECT_EQ(cache.hashFor(file),
               CheckpointCache::hashBytes("payload-three!"))
         << "stale memo entries are refreshed from disk";
-    fs::remove_all(dir);
 }
 
 TEST(ServiceCkCache, IndexPersistsAcrossInstances)
@@ -1447,7 +1485,6 @@ TEST(ServiceCkCache, IndexPersistsAcrossInstances)
     ASSERT_TRUE(atomicWriteFile(index, "not\ta\tvalid\nindex", err));
     CheckpointCache rebuilt(index);
     EXPECT_EQ(rebuilt.hashFor(file), CheckpointCache::hashBytes("bytes"));
-    fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -1646,7 +1683,6 @@ TEST(ServiceJobs, FinishedJobsLeaveMemory)
                 "error"),
             "unknown job '../jobs/x'");
     }
-    fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -1876,7 +1912,6 @@ TEST(ServiceCells, LocalSlashCellGetsItsOwnLogs)
         EXPECT_EQ(out, "ran a/b-c0\n");
         EXPECT_EQ(err, "ran a/b-c0\n");
     }
-    fs::remove_all(dir);
 }
 
 TEST(ServiceCoordinator, RunsCellIdsWithSlashesRemotely)
@@ -1894,7 +1929,6 @@ TEST(ServiceCoordinator, RunsCellIdsWithSlashesRemotely)
         EXPECT_EQ(res->num("remote_cells"), 4);
         EXPECT_EQ(res->num("local_fallback_cells"), 0);
     }
-    fs::remove_all(dir);
 }
 
 TEST(ServiceCoordinator, UndisturbedJobNeverOversubscribesWorkers)
@@ -1916,7 +1950,6 @@ TEST(ServiceCoordinator, UndisturbedJobNeverOversubscribesWorkers)
             << joinedEvents(done);
         EXPECT_EQ(dispatchStarts(dir), 12u) << "one run per cell";
     }
-    fs::remove_all(dir);
 }
 
 TEST(ServiceCoordinator, RemoteDispatchFollowsTenantWeights)
@@ -1928,12 +1961,8 @@ TEST(ServiceCoordinator, RemoteDispatchFollowsTenantWeights)
         // Hold the first two cells on the workers until both backlogs
         // are queued; from then on the dispatch order is the DRR's.
         // The hold goes before the cluster drains, whatever fails.
-        struct Hold
-        {
-            fs::path path;
-            ~Hold() { fs::remove(path); }
-        } hold{dir / "drivers" / "hold"};
-        std::ofstream(hold.path) << "1";
+        const TempPath hold(dir / "drivers" / "hold");
+        std::ofstream(hold) << "1";
         const std::string heavy =
             cluster.coord->submit(gridSpec("h", 14, "heavy")).str("job");
         ASSERT_TRUE(waitFor([&] { return dispatchStarts(dir) == 2; }));
@@ -1942,7 +1971,7 @@ TEST(ServiceCoordinator, RemoteDispatchFollowsTenantWeights)
         ASSERT_TRUE(waitFor([&] {
             return cluster.tenantRow("light").num("queued_cells") == 14;
         }));
-        fs::remove(hold.path);
+        fs::remove(hold);
         EXPECT_EQ(cluster.wait(heavy).str("state"), "done");
         EXPECT_EQ(cluster.wait(light).str("state"), "done");
 
@@ -1957,7 +1986,6 @@ TEST(ServiceCoordinator, RemoteDispatchFollowsTenantWeights)
         EXPECT_GE(heavyStarts, 11u) << "weights 3:1 over 16 dispatches";
         EXPECT_LE(heavyStarts, 13u) << "weights 3:1 over 16 dispatches";
     }
-    fs::remove_all(dir);
 }
 
 TEST(ServiceCoordinator, MaxCellsQuotaHoldsOnRemoteSlots)
@@ -1976,7 +2004,6 @@ TEST(ServiceCoordinator, MaxCellsQuotaHoldsOnRemoteSlots)
         EXPECT_EQ(peak, 1) << "max_cells=1 on two free worker slots";
         EXPECT_EQ(dispatchStarts(dir), 6u);
     }
-    fs::remove_all(dir);
 }
 
 namespace {
@@ -2086,7 +2113,6 @@ TEST(ServiceCoordinator, ShedsAndRefusalsLeaveTheWorkerUp)
         EXPECT_EQ(row.str("state"), "up") << view.dump();
         EXPECT_EQ(row.num("consec_failures"), 0);
     }
-    fs::remove_all(dir);
 }
 
 TEST(ServiceCoordinator, ShedsSpendNoAttempts)
@@ -2100,15 +2126,11 @@ TEST(ServiceCoordinator, ShedsSpendNoAttempts)
         FakeDaemon coord(dir, "coord", [&](ServiceConfig &cfg) {
             cfg.workerAddrs = {worker.tcpAddr()};
         });
-        struct Hold
-        {
-            fs::path path;
-            ~Hold() { fs::remove(path); }
-        } hold{dir / "drivers" / "hold"};
+        const TempPath hold(dir / "drivers" / "hold");
         // The worker's one slot runs a local job of its own until the
         // coordinator's cell has been shed more times than a cell has
         // remote attempts.
-        std::ofstream(hold.path) << "1";
+        std::ofstream(hold) << "1";
         const std::string local =
             worker.submit(gridSpec("busy", 1)).str("job");
         ASSERT_TRUE(waitFor([&] { return dispatchStarts(dir) == 1; }));
@@ -2118,7 +2140,7 @@ TEST(ServiceCoordinator, ShedsSpendNoAttempts)
             const Json *res = status.get("resilience");
             return res != nullptr && res->num("remote_retries") >= 6;
         })) << "six sheds";
-        fs::remove(hold.path);
+        fs::remove(hold);
         EXPECT_EQ(worker.rpc(FakeDaemon::request("wait", local)).str("state"),
                   "done");
         const Json done = coord.rpc(FakeDaemon::request("wait", id));
@@ -2132,7 +2154,6 @@ TEST(ServiceCoordinator, ShedsSpendNoAttempts)
         EXPECT_NE(joinedEvents(done).find("at capacity"), std::string::npos)
             << joinedEvents(done);
     }
-    fs::remove_all(dir);
 }
 
 TEST(ServiceCoordinator, CellOutOfRemoteAttemptsRunsLocally)
@@ -2159,5 +2180,4 @@ TEST(ServiceCoordinator, CellOutOfRemoteAttemptsRunsLocally)
                   std::string::npos)
             << joinedEvents(done);
     }
-    fs::remove_all(dir);
 }
