@@ -3,12 +3,17 @@
  * Tests for the estimator seam (core/estimator.hpp): miss-curve
  * composition, mode parsing and flag rejection, tier dispatch, pinning
  * of knobs the analytic model does not differentiate, tolerance
- * disclosure and determinism across the profile cache.
+ * disclosure, determinism across the profile cache, and the
+ * resume.manifest guard against mixing estimated and exact checkpoints.
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "analysis/metadata_model.hpp"
 #include "core/estimator.hpp"
@@ -266,6 +271,54 @@ TEST(Estimator, AutoEstimatesInteriorsPinsCorners)
     EXPECT_EQ(interior.estimator.tier, "analytic");
     EXPECT_TRUE(interior.estimator.pinned.empty());
     EXPECT_EQ(interior.estimator.mode, "auto");
+}
+
+TEST(EstimatorResumeDeathTest, ManifestRefusesMixedEstimatorModes)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    namespace fs = std::filesystem;
+    // The threadsafe death-test child re-runs this body under its own
+    // pid and dies inside EXPECT_DEATH, so the directory is named by the
+    // parent's pid, handed down through the environment: the child
+    // reuses it and the parent's closing remove_all covers both.
+    constexpr const char *kDirVar = "MAPS_ESTIMATOR_MANIFEST_DIR";
+    if (::getenv(kDirVar) == nullptr) {
+        const auto own = fs::temp_directory_path() /
+                         ("maps_estimator_manifest_" +
+                          std::to_string(::getpid()));
+        ::setenv(kDirVar, own.c_str(), 1);
+    }
+    const fs::path dir = ::getenv(kDirVar);
+    fs::remove_all(dir);
+
+    const auto make_cells = [] {
+        std::vector<runner::Cell> cells;
+        cells.push_back({"c0", 0, [](const runner::Cell &) {
+                             return runner::CellOutput{}.add(
+                                 runner::Row{}.add("id", "c0"));
+                         }});
+        return cells;
+    };
+
+    runner::Options opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    opts.resumeDir = dir.string();
+    opts.estimator = Mode::Sim;
+    runner::ExperimentRunner(opts).run(make_cells(), "phase");
+
+    // Same directory, different estimation mechanism: exact and
+    // estimated checkpoints must never silently mix.
+    runner::Options analytic = opts;
+    analytic.estimator = Mode::Analytic;
+    EXPECT_DEATH(
+        { runner::ExperimentRunner(analytic).run(make_cells(), "phase"); },
+        "resume.manifest");
+
+    runner::Options same = opts;
+    runner::ExperimentRunner(same).run(make_cells(), "phase");
+    fs::remove_all(dir);
+    ::unsetenv(kDirVar);
 }
 
 } // namespace

@@ -4,12 +4,14 @@
  * interval sampling (docs/SAMPLING.md): spec parsing, interval
  * planning, profiler embeddings, the deterministic seeded k-means and
  * elbow rule, hand-checkable bound math, the sampled execution mode of
- * SecureMemorySim.
+ * SecureMemorySim, and the --resume manifest guard.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 namespace maps {
 namespace {
 
+namespace fs = std::filesystem;
 using sampling::ClusterSample;
 using sampling::Estimate;
 using sampling::IntervalPlan;
@@ -516,6 +519,54 @@ TEST(RunnerSampleFlag, ParsesAndRejects)
                   {"--sample=auto", "--trace-events=/tmp/t.json"}, opts),
               "")
         << "sampling and event tracing cannot combine";
+}
+
+// ---------------------------------------------------------------------------
+// --resume manifest guard.
+// ---------------------------------------------------------------------------
+
+/** Run a one-cell experiment against @p dir with the given sample. */
+int
+runCheckpointed(const fs::path &dir, const std::string &sample)
+{
+    runner::Options opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    opts.resumeDir = (dir / "ck").string();
+    opts.outPath = (dir / "out.txt").string();
+    if (!sample.empty()) {
+        EXPECT_EQ(SampleSpec::parse(sample, opts.sample), "");
+    }
+    runner::Experiment exp({"sampling_manifest", "probe", "probe"},
+                           opts);
+    std::vector<runner::Cell> cells;
+    cells.push_back({"cell0", 0, [](const runner::Cell &) {
+                         return runner::CellOutput{}.add(
+                             runner::Row{}.add("id", "cell0"));
+                     }});
+    exp.runAndEmit(cells);
+    return exp.finish();
+}
+
+TEST(ResumeManifest, MatchingSpecResumesAndMismatchIsFatal)
+{
+    const auto dir = fs::temp_directory_path() /
+                     ("maps_sampling_manifest_" +
+                      std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
+    // First run records the manifest; an identical re-run resumes.
+    EXPECT_EQ(runCheckpointed(dir, ""), 0);
+    ASSERT_TRUE(fs::exists(dir / "ck" / "resume.manifest"));
+    EXPECT_EQ(runCheckpointed(dir, ""), 0);
+
+    // A sampled run pointed at the full run's checkpoints must die:
+    // estimated and exact rows can never silently mix.
+    EXPECT_EXIT(runCheckpointed(dir, "auto"),
+                ::testing::ExitedWithCode(1), "resume\\.manifest");
+
+    fs::remove_all(dir);
 }
 
 } // namespace
