@@ -169,7 +169,9 @@ BENCHMARK(BM_ControllerReadRegistered);
 // scripts/perf_guard.sh tracks in the bench/BENCH_micro.json trend and
 // gates regressions on. Each iteration constructs a fresh simulation
 // (one run per instance), so construction cost is amortised over the
-// 400k simulated references, same as a real runner cell.
+// 400k simulated references, same as a real runner cell. Each iteration
+// also drops the stream memo, so it times both passes — the stream pass
+// and the replay — rather than a replay of a memoized stream.
 // ---------------------------------------------------------------------------
 
 constexpr std::uint64_t kThroughputWarmupRefs = 50'000;
@@ -192,6 +194,7 @@ void
 BM_SimThroughput(benchmark::State &state, const std::string &bench)
 {
     for (auto _ : state) {
+        estimator::resetCacheForTests();
         RunReport report = runBenchmark(throughputConfig(bench));
         benchmark::DoNotOptimize(report);
     }
@@ -247,34 +250,6 @@ BM_AnalyticGrid(benchmark::State &state, const std::string &)
     state.SetItemsProcessed(cells);
 }
 BENCHMARK_CAPTURE(BM_AnalyticGrid, analytic_grid, std::string())
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-// Scalar reference loop (batchRefs = 0) on one cache-friendly and one
-// DRAM-bound workload: the in-run view of what batching alone buys on
-// top of the shared SoA cache core. Not part of the trend file — the
-// tracked ≥2× target compares trend entries (whole pipeline, before vs
-// after the refactor), not this pair.
-void
-BM_SimThroughputScalar(benchmark::State &state, const std::string &bench)
-{
-    for (auto _ : state) {
-        SimConfig cfg = throughputConfig(bench);
-        cfg.batchRefs = 0; // per-reference virtual dispatch
-        RunReport report = runBenchmark(cfg);
-        benchmark::DoNotOptimize(report);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations())
-        * static_cast<std::int64_t>(kThroughputWarmupRefs
-                                    + kThroughputMeasureRefs));
-}
-BENCHMARK_CAPTURE(BM_SimThroughputScalar, fig3mix_libquantum,
-                  std::string("libquantum"))
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SimThroughputScalar, fig3mix_canneal,
-                  std::string("canneal"))
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

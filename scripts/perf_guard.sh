@@ -116,10 +116,9 @@ fi
 # ---------------------------------------------------------------------------
 # Gate 2: simulated refs/sec trend over the Figure 3 workload mix.
 # ---------------------------------------------------------------------------
-# Trailing '/' keeps BM_SimThroughputScalar (in-run comparison pair,
-# untracked) out of the gate runs. BM_AnalyticGrid tracks the analytic
-# estimator's grid wall clock alongside (its value is grid cells/sec,
-# self-consistent within its own trend series).
+# BM_AnalyticGrid tracks the analytic estimator's grid wall clock
+# alongside (its value is grid cells/sec, self-consistent within its own
+# trend series).
 run_bench 'BM_SimThroughput/|BM_AnalyticGrid/' 3 "$TPUT_JSON"
 
 # {"canneal": refs_per_sec, ..., "analytic_grid": cells_per_sec} from

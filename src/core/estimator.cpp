@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "analysis/metadata_model.hpp"
+#include "check/check.hpp"
 #include "core/runner.hpp"
+#include "core/stream_capture.hpp"
 #include "workloads/suite.hpp"
 
 namespace maps::estimator {
@@ -79,17 +81,47 @@ evalConfig(const SimConfig &cfg)
 }
 
 /**
- * One profile + one anchor simulation per reference stream, shared by
- * every cell that sweeps hierarchy/metadata-cache knobs over it. Keyed
- * by the whole anchor configuration, so cells share an entry exactly
- * when they differ only in the knobs anchorConfig resets.
+ * The per-stream memo, one table for both of its uses:
+ *
+ *  - Kind::Stream: the stream pass's capture (captureStream), shared by
+ *    every exact run of the stream. Keyed by streamConfig(cfg) and by
+ *    whether maps::check was on when it was captured, so a checked run
+ *    never replays a stream its L1/L2 shadows did not audit. Charged
+ *    against the byte budget and LRU-evicted.
+ *  - Kind::Anchor: the analytic tier's profile + anchor simulation,
+ *    keyed by anchorConfig(cfg). Small, never evicted.
+ *
+ * Cells share an entry exactly when they differ only in the knobs the
+ * key function resets. An entry is built once under its once_flag;
+ * holders keep it (and its capture) alive across an eviction or a
+ * reset.
  */
+enum class Kind : std::uint8_t
+{
+    Stream,
+    Anchor,
+};
+
 struct Entry
 {
-    explicit Entry(SimConfig anchor) : anchorCfg(std::move(anchor)) {}
+    Entry(Kind k, SimConfig key_cfg, bool is_checked)
+        : kind(k), key(std::move(key_cfg)), checked(is_checked)
+    {
+    }
 
-    const SimConfig anchorCfg;
+    const Kind kind;
+    const SimConfig key;
+    const bool checked;
     std::once_flag once;
+    /** Bytes charged against the budget (stream entries, once built). */
+    std::size_t bytes = 0;
+    /** Memo clock at the last lookup (LRU order). */
+    std::uint64_t lastUse = 0;
+
+    // Kind::Stream
+    std::shared_ptr<const StreamCapture> capture;
+
+    // Kind::Anchor
     analysis::StreamProfile profile;
     RunReport anchor;
     analysis::AnalyticCounts pivotRaw;
@@ -97,24 +129,87 @@ struct Entry
     std::uint64_t pivotMdBytes = 0;
 };
 
+/**
+ * Default byte budget for the captured streams. One default-scale
+ * stream logs at most a few MiB (4 B per LLC access on random streams),
+ * so every driver's streams stay resident.
+ */
+constexpr std::size_t kDefaultMemoBytes = 256_MiB;
+
 std::mutex g_cacheMutex;
 std::vector<std::shared_ptr<Entry>> g_cache;
+std::uint64_t g_clock = 0;
+std::uint64_t g_captures = 0;
+std::size_t g_budget = kDefaultMemoBytes;
 
 std::shared_ptr<Entry>
-entryFor(const SimConfig &cfg)
+entryFor(Kind kind, SimConfig key, bool checked)
 {
-    SimConfig anchor = anchorConfig(cfg);
     std::lock_guard<std::mutex> lock(g_cacheMutex);
-    for (const auto &entry : g_cache)
-        if (entry->anchorCfg == anchor)
+    ++g_clock;
+    for (const auto &entry : g_cache) {
+        if (entry->kind == kind && entry->checked == checked &&
+            entry->key == key) {
+            entry->lastUse = g_clock;
             return entry;
-    return g_cache.emplace_back(std::make_shared<Entry>(std::move(anchor)));
+        }
+    }
+    auto &entry = g_cache.emplace_back(
+        std::make_shared<Entry>(kind, std::move(key), checked));
+    entry->lastUse = g_clock;
+    return entry;
+}
+
+/** Drop least-recently used captures until the budget holds. */
+void
+evictOverBudgetLocked()
+{
+    for (;;) {
+        std::size_t held = 0;
+        auto victim = g_cache.end();
+        for (auto it = g_cache.begin(); it != g_cache.end(); ++it) {
+            held += (*it)->bytes;
+            if ((*it)->bytes > 0 &&
+                (victim == g_cache.end() ||
+                 (*it)->lastUse < (*victim)->lastUse))
+                victim = it;
+        }
+        if (held <= g_budget || victim == g_cache.end())
+            return;
+        g_cache.erase(victim);
+    }
+}
+
+/**
+ * The stream identity: @p cfg with every field the replay pass models
+ * reset — the LLC geometry, secure memory, DRAM/fixed latency, energy
+ * and the batch size (bit-exact for every value). The L1/L2 shape and
+ * hierarchy.policy stay: L1/L2 run in the stream pass. Sampled runs
+ * never capture; a policy-override run that ignores its sample spec
+ * shares the plain stream.
+ */
+SimConfig
+streamConfig(const SimConfig &cfg)
+{
+    SimConfig key = cfg;
+    const HierarchyConfig hierarchy_defaults;
+    key.hierarchy.llcBytes = hierarchy_defaults.llcBytes;
+    key.hierarchy.llcAssoc = hierarchy_defaults.llcAssoc;
+    const SimConfig defaults;
+    key.secure = defaults.secure;
+    key.secureEnabled = defaults.secureEnabled;
+    key.useDram = defaults.useDram;
+    key.fixedLatencyCycles = defaults.fixedLatencyCycles;
+    key.energy = defaults.energy;
+    key.batchRefs = defaults.batchRefs;
+    key.sample = defaults.sample;
+    return key;
 }
 
 void
 buildEntry(Entry &entry)
 {
-    const SimConfig &anchor_cfg = entry.anchorCfg;
+    const SimConfig &anchor_cfg = entry.key;
 
     analysis::ProfileSpec spec;
     spec.skipRefs = anchor_cfg.skipRefs;
@@ -487,9 +582,35 @@ runWithMode(const SimConfig &cfg, Mode mode, CellKind kind)
     if (const char *reason = pinReason(cfg, mode, kind))
         return pinnedSim(cfg, mode, reason);
 
-    const auto entry = entryFor(cfg);
+    const auto entry = entryFor(Kind::Anchor, anchorConfig(cfg), false);
     std::call_once(entry->once, [&] { buildEntry(*entry); });
     return analyticReport(cfg, *entry, mode);
+}
+
+std::shared_ptr<const StreamCapture>
+streamFor(const SimConfig &cfg)
+{
+    // Seeded L1/L2 bugs (check_mutants) change the stream itself: such
+    // runs capture privately.
+    if (check::enabled() && check::mutations().any())
+        return captureStream(cfg);
+    const auto entry =
+        entryFor(Kind::Stream, streamConfig(cfg), check::enabled());
+    std::call_once(entry->once, [&] {
+        entry->capture = captureStream(entry->key);
+        std::lock_guard<std::mutex> lock(g_cacheMutex);
+        ++g_captures;
+        // A reset may have dropped the entry meanwhile: charge only a
+        // resident one.
+        for (const auto &resident : g_cache) {
+            if (resident == entry) {
+                entry->bytes = entry->capture->bytes();
+                evictOverBudgetLocked();
+                break;
+            }
+        }
+    });
+    return entry->capture;
 }
 
 void
@@ -497,6 +618,31 @@ resetCacheForTests()
 {
     std::lock_guard<std::mutex> lock(g_cacheMutex);
     g_cache.clear();
+}
+
+MemoStats
+memoStatsForTests()
+{
+    std::lock_guard<std::mutex> lock(g_cacheMutex);
+    MemoStats stats;
+    stats.captures = g_captures;
+    for (const auto &entry : g_cache) {
+        if (entry->bytes > 0) {
+            ++stats.streams;
+            stats.bytes += entry->bytes;
+        }
+    }
+    return stats;
+}
+
+std::size_t
+setMemoBudgetForTests(std::size_t bytes)
+{
+    std::lock_guard<std::mutex> lock(g_cacheMutex);
+    const std::size_t previous = g_budget;
+    g_budget = bytes;
+    evictOverBudgetLocked();
+    return previous;
 }
 
 } // namespace maps::estimator

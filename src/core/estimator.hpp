@@ -41,10 +41,26 @@ RunReport runWithMode(const SimConfig &cfg, Mode mode,
                       CellKind kind = CellKind::Corner);
 
 /**
- * Drop the process-wide profile/anchor cache (tests — production runs
- * want maximal reuse: one profile + one anchor per reference stream).
+ * Drop the process-wide stream memo: every captured stream and every
+ * profile/anchor (tests and mapsbench rounds — production runs want
+ * maximal reuse: one capture, one profile and one anchor per reference
+ * stream). Holders of a capture keep it until they finish.
  */
 void resetCacheForTests();
+
+/** What the stream memo holds (tests). */
+struct MemoStats
+{
+    /** Stream passes run through the memo since process start. */
+    std::uint64_t captures = 0;
+    /** Resident captured streams and the bytes charged for them. */
+    std::size_t streams = 0;
+    std::size_t bytes = 0;
+};
+MemoStats memoStatsForTests();
+
+/** Set the memo's byte budget, evicting to fit; returns the old one. */
+std::size_t setMemoBudgetForTests(std::size_t bytes);
 
 } // namespace maps::estimator
 

@@ -1206,6 +1206,46 @@ class Progress
 
 } // namespace
 
+void
+ExperimentRunner::openResumeDir()
+{
+    if (opts_.resumeDir.empty() || resumeDirOpen_)
+        return;
+    const std::filesystem::path ckdir = opts_.resumeDir;
+    std::error_code ec;
+    std::filesystem::create_directories(ckdir, ec);
+    fatalIf(static_cast<bool>(ec), "cannot create --resume directory '" +
+                                       opts_.resumeDir + "': " +
+                                       ec.message());
+    // Claim the directory before publishing into it (skipped in the
+    // read-only --list-cells mode). Lock errors are fatal: silently
+    // interleaving two runs would corrupt neither file (publishes are
+    // atomic) but makes the resulting mix impossible to reason about.
+    if (!opts_.listCells && !resumeLock_.held()) {
+        const auto err = resumeLock_.acquire(opts_.resumeDir);
+        fatalIf(!err.empty(), err);
+    }
+    // Checkpoints encode only rows, not the flags that produced them, so
+    // the directory records every row-changing flag (resume.manifest)
+    // and a run under different flags must never silently reuse it.
+    const auto manifest = ckdir / "resume.manifest";
+    if (std::ifstream in(manifest, std::ios::binary); in) {
+        const auto diff = manifestMismatch(in, opts_);
+        fatalIf(!diff.empty(),
+                "--resume directory '" + opts_.resumeDir +
+                    "' was recorded under different run flags (its "
+                    "resume.manifest has " + diff +
+                    "); checkpoints of different configurations cannot "
+                    "mix — use a fresh --resume directory");
+    } else if (!opts_.listCells) {
+        std::string text;
+        for (const auto &line : resumeManifest(opts_))
+            text += line.first + "\n";
+        publish(manifest, text);
+    }
+    resumeDirOpen_ = true;
+}
+
 std::vector<CellOutput>
 ExperimentRunner::run(const std::vector<Cell> &cells,
                       const std::string &phase)
@@ -1223,43 +1263,10 @@ ExperimentRunner::run(const std::vector<Cell> &cells,
     // --resume: load checkpoints written by a previous (possibly killed)
     // run of the same configuration; loaded cells are never re-run.
     std::vector<char> loaded(work.size(), 0);
-    std::filesystem::path ckdir;
+    const std::filesystem::path ckdir = opts_.resumeDir;
     const bool checkpointing = !opts_.resumeDir.empty();
     if (checkpointing) {
-        ckdir = opts_.resumeDir;
-        std::error_code ec;
-        std::filesystem::create_directories(ckdir, ec);
-        fatalIf(static_cast<bool>(ec), "cannot create --resume directory '" +
-                                           opts_.resumeDir + "': " +
-                                           ec.message());
-        // Claim the directory before publishing into it (skipped in the
-        // read-only --list-cells mode). Lock errors are fatal: silently
-        // interleaving two runs would corrupt neither file (publishes
-        // are atomic) but makes the resulting mix impossible to reason
-        // about.
-        if (!opts_.listCells && !resumeLock_.held()) {
-            const auto err = resumeLock_.acquire(opts_.resumeDir);
-            fatalIf(!err.empty(), err);
-        }
-        // Checkpoints encode only rows, not the flags that produced
-        // them, so the directory records every row-changing flag
-        // (resume.manifest) and a run under different flags must never
-        // silently reuse it.
-        const auto manifest = ckdir / "resume.manifest";
-        if (std::ifstream in(manifest, std::ios::binary); in) {
-            const auto diff = manifestMismatch(in, opts_);
-            fatalIf(!diff.empty(),
-                    "--resume directory '" + opts_.resumeDir +
-                        "' was recorded under different run flags (its "
-                        "resume.manifest has " + diff +
-                        "); checkpoints of different configurations "
-                        "cannot mix — use a fresh --resume directory");
-        } else if (!opts_.listCells) {
-            std::string text;
-            for (const auto &line : resumeManifest(opts_))
-                text += line.first + "\n";
-            publish(manifest, text);
-        }
+        openResumeDir();
         for (std::size_t i = 0; i < work.size(); ++i) {
             const auto path = ckdir / detail::checkpointFileName(
                                           phase_name, work[i], opts_.scale);
@@ -1491,9 +1498,13 @@ makeExperimentSink(const Options &opts)
 } // namespace
 
 Experiment::Experiment(ExperimentMeta meta, const Options &opts)
-    : meta_(std::move(meta)), runner_(opts),
-      sink_(makeExperimentSink(opts))
+    : meta_(std::move(meta)), runner_(opts)
 {
+    // A refused --resume directory must leave a previous --out file
+    // intact: the sink (which truncates it) opens only once the
+    // directory is claimed and its manifest matches.
+    runner_.openResumeDir();
+    sink_ = makeExperimentSink(opts);
     installSignalHandlers();
     if (opts.check) {
         // Record mode: divergences are tallied and summarized by

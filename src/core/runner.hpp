@@ -466,6 +466,14 @@ class ExperimentRunner
     std::vector<CellOutput> run(const std::vector<Cell> &cells,
                                 const std::string &phase = "");
 
+    /**
+     * --resume: create and claim the checkpoint directory and check
+     * (or record) its resume.manifest; fatal on a held lock or a
+     * manifest mismatch. Idempotent; run() calls it, and Experiment
+     * calls it before opening its sink. No-op without --resume.
+     */
+    void openResumeDir();
+
     const Options &options() const { return opts_; }
 
     /** Failures recorded across every run() call, in cell order. */
@@ -500,6 +508,7 @@ class ExperimentRunner
      * directory fail fast instead of interleaving atomic publishes.
      */
     DirLock resumeLock_;
+    bool resumeDirOpen_ = false;
 };
 
 /// @name Checkpoint internals (exposed for tests)

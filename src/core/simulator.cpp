@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "core/runner.hpp"
+#include "core/stream_capture.hpp"
 #include "metrics/derived.hpp"
 #include "util/logging.hpp"
 
@@ -44,14 +45,90 @@ roundCount(double v)
     return v > 0.0 ? static_cast<std::uint64_t>(std::llround(v)) : 0;
 }
 
+/** Cancellation cadence for --cell-timeout: cheap relative to the work
+ *  between calls, frequent enough to bound overshoot. */
+constexpr std::uint64_t kHeartbeatRefs = 32 * 1024;
+
 } // namespace
+
+std::shared_ptr<const StreamCapture>
+captureStream(const SimConfig &cfg)
+{
+    auto capture = std::make_shared<StreamCapture>();
+    Arena arena;
+    const auto generator = makeBenchmark(cfg.benchmark, cfg.seed);
+    CacheHierarchy upper(cfg.hierarchy, &arena, HierarchyLevels::Upper);
+    StreamWriter writer(capture->log);
+    InstCount last_inst = 0;
+    std::uint64_t accesses = 0;
+    upper.setLlcSink([&](Addr addr, bool write) {
+        const InstCount now = upper.stats().instructions;
+        writer.append(addr, write, now - last_inst);
+        last_inst = now;
+        ++accesses;
+    });
+    std::vector<std::unique_ptr<check::CacheShadow>> shadows;
+    if (check::enabled()) {
+        shadows.push_back(check::CacheShadow::attach(upper.l1Mut(), "l1"));
+        shadows.push_back(check::CacheShadow::attach(upper.l2Mut(), "l2"));
+    }
+
+    // Pull references in batches (one virtual generator call, one
+    // hierarchy call per batch); a batch covering a 32k-th reference
+    // polls the cancellation heartbeat at its start.
+    const std::uint64_t batch = std::clamp<std::uint64_t>(
+        cfg.batchRefs, 1, kHeartbeatRefs);
+    std::vector<MemRef> refs(batch);
+    const auto drive = [&](std::uint64_t count) {
+        for (std::uint64_t i = 0; i < count;) {
+            const std::uint64_t n = std::min(batch, count - i);
+            if (i % kHeartbeatRefs == 0 ||
+                i % kHeartbeatRefs + n > kHeartbeatRefs)
+                runner::heartbeat();
+            generator->nextBatch(refs.data(), n);
+            upper.accessBatch(refs.data(), n);
+            i += n;
+        }
+    };
+
+    // Fast-forward: discard the stream prefix in front of the warmup
+    // window (SimConfig::skipRefs). Bit-exact with consuming the
+    // references (AccessGenerator::skip contract), heartbeat-chunked so
+    // --cell-timeout still cancels promptly.
+    for (std::uint64_t i = 0; i < cfg.skipRefs;) {
+        const std::uint64_t n = std::min(kHeartbeatRefs, cfg.skipRefs - i);
+        runner::heartbeat();
+        generator->skip(n);
+        i += n;
+    }
+
+    drive(cfg.warmupRefs);
+    capture->warmupAccesses = accesses;
+    capture->atMeasure = upper.upperStats();
+    // Measure-window gaps count from the phase boundary.
+    last_inst = capture->atMeasure.instructions;
+    drive(cfg.measureRefs);
+    capture->measureAccesses = accesses - capture->warmupAccesses;
+    capture->atEnd = upper.upperStats();
+
+    for (auto &shadow : shadows)
+        shadow->finalAudit();
+    capture->log.shrink_to_fit();
+    return capture;
+}
 
 SecureMemorySim::SecureMemorySim(SimConfig cfg,
                                  std::unique_ptr<ReplacementPolicy>
                                      md_policy)
     : cfg_(std::move(cfg)), energyModel_(cfg_.energy)
 {
-    generator_ = makeBenchmark(cfg_.benchmark, cfg_.seed);
+    // A metadata-cache policy override (e.g. the fig6 oracles) forces
+    // full simulation: oracle capture/replay streams are aligned to the
+    // full access sequence, which a sampled pass would splice.
+    mdOverride_ = md_policy != nullptr;
+    sampled_ = cfg_.sample.enabled && !mdOverride_;
+    if (sampled_)
+        generator_ = makeBenchmark(cfg_.benchmark, cfg_.seed);
 
     if (cfg_.useDram)
         memory_ = std::make_unique<DramModel>();
@@ -59,14 +136,14 @@ SecureMemorySim::SecureMemorySim(SimConfig cfg,
         memory_ = std::make_unique<FixedLatencyMemory>(
             cfg_.fixedLatencyCycles);
 
-    const bool md_override = md_policy != nullptr;
-    mdOverride_ = md_override;
     if (cfg_.secureEnabled) {
         controller_ = std::make_unique<SecureMemoryController>(
             cfg_.secure, *memory_, std::move(md_policy), &arena_);
     }
 
-    hierarchy_ = std::make_unique<CacheHierarchy>(cfg_.hierarchy, &arena_);
+    hierarchy_ = std::make_unique<CacheHierarchy>(
+        cfg_.hierarchy, &arena_,
+        sampled_ ? HierarchyLevels::All : HierarchyLevels::Llc);
     hierarchy_->setRequestSink(
         [this](const MemoryRequest &req) { serviceRequest(req); });
 
@@ -82,16 +159,18 @@ SecureMemorySim::SecureMemorySim(SimConfig cfg,
         // The hierarchy builds its policies with the factory default
         // seed; the metadata cache uses its configured seed. A policy
         // override has unknown internals, so its shadow only mirrors.
-        cacheShadows_.push_back(
-            check::CacheShadow::attach(hierarchy_->l1Mut(), "l1"));
-        cacheShadows_.push_back(
-            check::CacheShadow::attach(hierarchy_->l2Mut(), "l2"));
+        if (sampled_) {
+            cacheShadows_.push_back(
+                check::CacheShadow::attach(hierarchy_->l1Mut(), "l1"));
+            cacheShadows_.push_back(
+                check::CacheShadow::attach(hierarchy_->l2Mut(), "l2"));
+        }
         cacheShadows_.push_back(
             check::CacheShadow::attach(hierarchy_->llcMut(), "llc"));
         if (controller_) {
             cacheShadows_.push_back(check::CacheShadow::attach(
                 controller_->metadataCache().arrayMut(), "mdcache",
-                cfg_.secure.cache.seed, md_override));
+                cfg_.secure.cache.seed, mdOverride_));
             secmemShadow_ =
                 std::make_unique<check::SecmemShadow>(*controller_);
             installTap();
@@ -172,14 +251,7 @@ SecureMemorySim::serviceRequest(const MemoryRequest &req)
 RunReport
 SecureMemorySim::run()
 {
-    // Cancellation cadence for --cell-timeout: cheap relative to the
-    // work between calls, frequent enough to bound overshoot.
-    constexpr std::uint64_t kHeartbeatRefs = 32 * 1024;
-
-    // A metadata-cache policy override (e.g. the fig6 oracles) forces
-    // full simulation: oracle capture/replay streams are aligned to the
-    // full access sequence, which a sampled pass would splice.
-    if (cfg_.sample.enabled && !mdOverride_)
+    if (sampled_)
         return runSampled();
 
     // Wire the sampled event trace when this cell was selected by
@@ -191,58 +263,40 @@ SecureMemorySim::run()
                               claim->cell);
     }
 
-    // Batched pipeline: pull references in fixed-size batches (one
-    // virtual generator call, one hierarchy call per batch) — bit-exact
-    // with the scalar loop below, which remains the reference semantics
-    // and the differential-test hook (SimConfig::batchRefs).
-    const std::uint64_t batch =
-        cfg_.batchRefs > 1 ? std::min(cfg_.batchRefs, kHeartbeatRefs)
-                           : 0;
-    // The scalar loop polls the cancellation heartbeat at every 32k-th
-    // reference; a batch covering that reference polls at batch start.
-    const auto heartbeatIfDue = [](std::uint64_t i, std::uint64_t n) {
-        if (i % kHeartbeatRefs == 0 || i % kHeartbeatRefs + n > kHeartbeatRefs)
-            runner::heartbeat();
-    };
-
-    // Host wall clock over both phases: the denominator of the
+    // Host wall clock over both passes: the denominator of the
     // simulated-refs-per-second throughput report (nondeterministic by
     // nature, so it feeds only the runtime metrics rows, never goldens).
     const auto wall_start = std::chrono::steady_clock::now();
 
-    // Fast-forward: discard the stream prefix in front of the warmup
-    // window (SimConfig::skipRefs). Bit-exact with consuming the
-    // references (AccessGenerator::skip contract), heartbeat-chunked so
-    // --cell-timeout still cancels promptly.
-    for (std::uint64_t i = 0; i < cfg_.skipRefs;) {
-        const std::uint64_t n =
-            std::min(kHeartbeatRefs, cfg_.skipRefs - i);
-        runner::heartbeat();
-        generator_->skip(n);
-        i += n;
-    }
+    // Stream pass: this stream's L2-side log, from the stream memo or
+    // captured now (captureStream).
+    const std::shared_ptr<const StreamCapture> stream =
+        estimator::streamFor(cfg_);
+
+    // Replay pass: the logged LLC accesses drive the LLC, controller and
+    // DRAM exactly as the references they stand for did, so cycles_,
+    // every request's icount and every registry counter match a run
+    // that simulates all three levels.
+    StreamReader reader(stream->log);
+    std::vector<LlcAccess> batch(kHeartbeatRefs / 32);
+    const auto replay = [&](std::uint64_t count, Cycles *core_cycles) {
+        for (std::uint64_t i = 0; i < count;) {
+            const std::uint64_t n =
+                std::min<std::uint64_t>(batch.size(), count - i);
+            if (i % kHeartbeatRefs == 0)
+                runner::heartbeat();
+            reader.next(batch.data(), n);
+            hierarchy_->replayBatch(batch.data(), n, core_cycles);
+            i += n;
+        }
+    };
 
     // Warmup: fill caches. Counters keep counting — the warmup window
     // is separated from measurement by the registry phase snapshot, not
     // by resets.
     measuring_ = false;
-    if (batch) {
-        batch_.resize(batch);
-        for (std::uint64_t i = 0; i < cfg_.warmupRefs;) {
-            const std::uint64_t n =
-                std::min(batch, cfg_.warmupRefs - i);
-            heartbeatIfDue(i, n);
-            generator_->nextBatch(batch_.data(), n);
-            hierarchy_->accessBatch(batch_.data(), n);
-            i += n;
-        }
-    } else {
-        for (std::uint64_t i = 0; i < cfg_.warmupRefs; ++i) {
-            if (i % kHeartbeatRefs == 0)
-                runner::heartbeat();
-            hierarchy_->access(generator_->next());
-        }
-    }
+    replay(stream->warmupAccesses, nullptr);
+    hierarchy_->restoreUpper(stream->atMeasure);
 
     // The one statistics boundary of a run: snapshot every counter.
     registry_.beginPhase(metrics::Phase::Measure);
@@ -250,27 +304,12 @@ SecureMemorySim::run()
     // latencies depend on absolute cycle arithmetic in the DRAM model.
     cycles_ = 0;
     measuring_ = true;
-
-    if (batch) {
-        for (std::uint64_t i = 0; i < cfg_.measureRefs;) {
-            const std::uint64_t n =
-                std::min(batch, cfg_.measureRefs - i);
-            heartbeatIfDue(i, n);
-            generator_->nextBatch(batch_.data(), n);
-            // The unit-IPC core clock advances per reference inside the
-            // batch, interleaved with request latencies via the sink.
-            hierarchy_->accessBatch(batch_.data(), n, &cycles_);
-            i += n;
-        }
-    } else {
-        for (std::uint64_t i = 0; i < cfg_.measureRefs; ++i) {
-            if (i % kHeartbeatRefs == 0)
-                runner::heartbeat();
-            const MemRef ref = generator_->next();
-            cycles_ += ref.instGap; // unit-IPC core
-            hierarchy_->access(ref);
-        }
-    }
+    // The unit-IPC core clock advances by each logged gap before its
+    // access, interleaved with request latencies via the sink; the gap
+    // after the last access closes the window.
+    replay(stream->measureAccesses, &cycles_);
+    cycles_ += stream->atEnd.instructions - hierarchy_->stats().instructions;
+    hierarchy_->restoreUpper(stream->atEnd);
     measuring_ = false;
 
     const double wall_seconds =
@@ -310,8 +349,8 @@ SecureMemorySim::run()
     // cycles_ during the run.
     report.cycles = cycles_;
     const auto &h = *hierarchy_;
-    fillEnergy(report, cfg_, energyModel_, h.l1().stats().accesses(),
-               h.l2().stats().accesses(), h.llc().stats().accesses());
+    fillEnergy(report, cfg_, energyModel_, h.l1Stats().accesses(),
+               h.l2Stats().accesses(), h.llc().stats().accesses());
 
     // Host throughput over both phases: the number feeding the
     // "maps::metrics runtime" rows and mapsd's per-job accounting.
@@ -389,7 +428,6 @@ SecureMemorySim::exportMetrics(RunReport &report)
 RunReport
 SecureMemorySim::runSampled()
 {
-    constexpr std::uint64_t kHeartbeatRefs = 32 * 1024;
     const auto wall_start = std::chrono::steady_clock::now();
     const sampling::SampleSpec spec = cfg_.sample;
 

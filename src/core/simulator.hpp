@@ -44,10 +44,8 @@ struct SimConfig
      * References per batch through the generator -> hierarchy pipeline
      * (one virtual call per batch at each boundary). Results are
      * bit-exact for every value: requests are still serviced
-     * synchronously per reference. 0 or 1 selects the scalar
-     * per-reference loop — kept as the differential-test hook
-     * (tests/test_batched_diff.cpp) and reference semantics. Values
-     * above the 32k heartbeat cadence are clamped to it.
+     * synchronously per reference. 0 counts as 1; values above the 32k
+     * heartbeat cadence are clamped to it.
      */
     std::uint64_t batchRefs = 1024;
 
@@ -182,6 +180,14 @@ forEachDerived(const RunReport &r, Fn &&fn)
 /**
  * One simulation instance. Construct, optionally install taps or a
  * metadata replacement policy override, then run().
+ *
+ * An exact run takes two passes (docs/ARCHITECTURE.md): the stream pass
+ * (generator -> L1 -> L2, logging what leaves L2) runs once per
+ * reference stream per process and is kept in the estimator's stream
+ * memo; the replay pass drives this instance's LLC, secure-memory
+ * controller and DRAM from that log. Construction builds only the
+ * replay side; run() looks up or captures the stream. Sampled runs keep
+ * a full hierarchy and their own generator.
  */
 class SecureMemorySim
 {
@@ -222,7 +228,6 @@ class SecureMemorySim
                            const std::string &cell);
 
     /** Components (valid after construction). */
-    CacheHierarchy &hierarchy() { return *hierarchy_; }
     SecureMemoryController &controller() { return *controller_; }
     MemoryModel &memory() { return *memory_; }
     /** The phase-aware statistics registry for this simulation. */
@@ -237,12 +242,12 @@ class SecureMemorySim
      * so reverse-order member destruction keeps the pointers valid.
      */
     Arena arena_;
+    /** Sampled runs only: their generator (exact runs replay a log). */
     std::unique_ptr<AccessGenerator> generator_;
     std::unique_ptr<MemoryModel> memory_;
     std::unique_ptr<SecureMemoryController> controller_;
+    /** The LLC alone for exact runs; all three levels for sampled runs. */
     std::unique_ptr<CacheHierarchy> hierarchy_;
-    /** Scratch batch for the batched run loop (cfg_.batchRefs). */
-    std::vector<MemRef> batch_;
     EnergyModel energyModel_;
     metrics::Registry registry_;
     std::unique_ptr<metrics::TraceEventWriter> traceWriter_;
@@ -258,13 +263,17 @@ class SecureMemorySim
     bool warmingOnly_ = false;
     /** A metadata-cache policy override is installed (forces full runs). */
     bool mdOverride_ = false;
+    /** run() takes the sampled path (cfg_.sample without an override). */
+    bool sampled_ = false;
     SecureMemoryController::MetadataTap userTap_;
     bool tapIncludeWarmup_ = false;
 
     /**
      * maps::check differential models, attached when checking is
      * enabled at construction time: one CacheShadow per cache array
-     * plus the flat SecmemShadow over the controller.
+     * this instance drives plus the flat SecmemShadow over the
+     * controller. An exact run's L1/L2 shadows audit the stream pass
+     * instead (captureStream).
      */
     std::vector<std::unique_ptr<check::CacheShadow>> cacheShadows_;
     std::unique_ptr<check::SecmemShadow> secmemShadow_;

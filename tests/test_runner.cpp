@@ -759,6 +759,33 @@ TEST(RunnerListCells, ListsPendingPhaseOrAssemblesResult)
     fs::remove_all(dir);
 }
 
+TEST(RunnerResume, RefusedResumeLeavesOutFileIntact)
+{
+    using namespace list_test;
+    const auto dir = fs::temp_directory_path() /
+                     ("maps_out_test_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    const auto ran = dir / "ran";
+    fs::create_directories(ran);
+    Options opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    opts.resumeDir = (dir / "ck").string();
+    opts.format = runner::OutputFormat::Jsonl;
+    opts.outPath = (dir / "out.jsonl").string();
+    ASSERT_EQ(runForked(opts, ran, dir / "stdout1.txt"), 0);
+    const std::string before = slurp(dir / "out.jsonl");
+    ASSERT_NE(before.find("b2"), std::string::npos) << before;
+
+    // A different --seed is refused on the manifest (exit 1) before the
+    // sink opens: the previous --out file keeps every byte.
+    Options reseeded = opts;
+    reseeded.seed = 2;
+    EXPECT_EQ(runForked(reseeded, ran, dir / "stdout2.txt"), 1);
+    EXPECT_EQ(slurp(dir / "out.jsonl"), before);
+    fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint-directory locking.
 // ---------------------------------------------------------------------------
